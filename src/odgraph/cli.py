@@ -54,11 +54,12 @@ from .groups import (
     group_order,
     order_profile,
 )
-from .verify import sweep
+from .verify import family_formulas, sweep
 
 __all__ = ["main", "parse_spec"]
 
 _DIGITS = "0123456789"
+_FAMILY_LETTERS = {"Z": Cyclic, "D": Dihedral, "U": Units}
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -87,7 +88,7 @@ def parse_spec(text: str) -> GroupSpec:
                     "expected a group atom (Z<n>, D<n>, or U<n>)", byte_offset(i)
                 )
             family = text[i].upper()
-            if family not in "ZDU":
+            if family not in _FAMILY_LETTERS:
                 raise SpecSyntaxError(
                     f"expected family letter Z, D, or U, found {text[i]!r}",
                     byte_offset(i),
@@ -100,12 +101,7 @@ def parse_spec(text: str) -> GroupSpec:
                 raise SpecSyntaxError("expected a decimal number", byte_offset(i))
             value = int(text[start:i])
             try:
-                if family == "Z":
-                    atoms.append(Cyclic(value))
-                elif family == "D":
-                    atoms.append(Dihedral(value))
-                else:
-                    atoms.append(Units(value))
+                atoms.append(_FAMILY_LETTERS[family](value))
             except DomainError as exc:
                 raise SpecConstraintError(str(exc)) from exc
             expect_atom = False
@@ -152,23 +148,19 @@ def _bool_text(flag: bool) -> str:
 
 
 def _degree_rows(spec: GroupSpec, args) -> list[dict[str, Any]]:
-    profile = order_profile(spec, args.enum_bound)
-    order = group_order(spec)
+    profile = order_profile(spec)
     oracle_degrees: Optional[dict[int, int]] = None
-    if args.oracle and order > args.enum_bound:
-        raise EnumerationBoundError(
-            f"group order {order} exceeds the enumeration bound {args.enum_bound}"
-        )
-    if order <= args.enum_bound:
+    # past the bound build_graph raises, which --oracle turns into a failure
+    if args.oracle or group_order(spec) <= args.enum_bound:
         oracle_degrees, _ = class_degrees(build_graph(spec, args.enum_bound))
+    # looked up on the module per call, so a patched formula takes effect
+    closed_forms = family_formulas(spec, formulas)
     rows = []
     for m in profile:
-        if isinstance(spec, Cyclic):
-            formula_value = formulas.deg_zn(spec.n, m)
-        elif isinstance(spec, Dihedral):
-            formula_value = formulas.deg_dn(spec.n, m)
-        else:
+        if closed_forms is None:
             formula_value = degree_via_profile(profile, m)
+        else:
+            formula_value = closed_forms[0](m)
         rows.append(
             {
                 "order": m,
@@ -220,10 +212,9 @@ def _cmd_degrees(args) -> int:
     return 0
 
 
-def _scalar_command(args, name: str, value: int) -> int:
-    spec_text = format_spec(parse_spec(args.spec))
+def _scalar_command(args, spec: GroupSpec, name: str, value: int) -> int:
     if args.format == "json":
-        payload = _json_payload({"group": spec_text, name: value})
+        payload = _json_payload({"group": format_spec(spec), name: value})
     else:
         payload = f"{value}\n"
     _emit(payload, args.out)
@@ -232,26 +223,25 @@ def _scalar_command(args, name: str, value: int) -> int:
 
 def _cmd_size(args) -> int:
     spec = parse_spec(args.spec)
-    if isinstance(spec, Cyclic):
-        value = formulas.size_zn(spec.n)
-    elif isinstance(spec, Dihedral):
-        value = formulas.size_dn(spec.n)
+    closed_forms = family_formulas(spec, formulas)
+    if closed_forms is None:
+        value = size_via_profile(order_profile(spec))
     else:
-        value = size_via_profile(order_profile(spec, args.enum_bound))
-    return _scalar_command(args, "size", value)
+        value = closed_forms[1]()
+    return _scalar_command(args, spec, "size", value)
 
 
 def _cmd_girth(args) -> int:
     spec = parse_spec(args.spec)
-    return _scalar_command(args, "girth", formulas.girth_of_group(spec, args.enum_bound))
+    return _scalar_command(args, spec, "girth", formulas.girth_of_group(spec))
 
 
 def _cmd_classify(args) -> int:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
-    profile = order_profile(spec, args.enum_bound)
-    star = formulas.is_star_group(spec, args.enum_bound)
-    bipartite = formulas.is_bipartite_group(spec, args.enum_bound)
+    profile = order_profile(spec)
+    star = formulas.is_star_group(spec)
+    bipartite = formulas.is_bipartite_group(spec)
     path = formulas.is_path_group(spec)
     if args.format == "json":
         payload = _json_payload(
@@ -358,10 +348,17 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--enum-bound",
-        type=int,
+        type=non_negative_int,
         default=DEFAULT_ENUMERATION_BOUND,
         help="largest group order to enumerate explicitly",
     )
@@ -409,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=("dot", "json", "csv"), default="dot")
     export.add_argument(
         "--chromatic-bound",
-        type=int,
+        type=non_negative_int,
         default=DEFAULT_CHROMATIC_BOUND,
         help="largest vertex count for exact coloring in json invariants",
     )
@@ -421,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("range", help="inclusive parameter range, e.g. 1..200")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument(
-        "--chromatic-bound", type=int, default=DEFAULT_CHROMATIC_BOUND
+        "--chromatic-bound", type=non_negative_int, default=DEFAULT_CHROMATIC_BOUND
     )
     _add_common(verify)
     verify.set_defaults(handler=_cmd_verify)

@@ -9,13 +9,7 @@ from __future__ import annotations
 
 from . import numtheory
 from .errors import DomainError
-from .groups import (
-    DEFAULT_ENUMERATION_BOUND,
-    GroupSpec,
-    OrderProfile,
-    group_order,
-    order_profile,
-)
+from .groups import GroupSpec, OrderProfile, group_order, order_profile
 
 __all__ = [
     "deg_dn",
@@ -172,35 +166,27 @@ def size_dn(n: int) -> int:
 def girth_from_profile(profile: OrderProfile) -> int:
     """Girth (0 = acyclic) decided from the order profile alone.
 
-    A composite realized order forces a triangle. The divisibility clause
-    is defensive: two distinct non-identity orders with one dividing the
-    other imply the larger is composite, so it can never fire alone.
+    A composite realized order m forces a triangle: the identity, an
+    element of order m and one of order p for a prime p | m, p < m. With
+    every order prime, no two non-identity orders divide one another, so
+    the graph is a star.
     """
-    orders = [m for m in profile if m > 1]
-    if any(numtheory.is_composite(m) for m in orders):
-        return 3
-    for low in orders:
-        for high in orders:
-            if low != high and high % low == 0:
-                return 3
-    return 0
+    return 3 if any(numtheory.is_composite(m) for m in profile) else 0
 
 
-def girth_of_group(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> int:
+def girth_of_group(spec: GroupSpec) -> int:
     """Girth of the order-divisor graph, from the order profile."""
-    return girth_from_profile(order_profile(spec, bound))
+    return girth_from_profile(order_profile(spec))
 
 
-def girth_of_product(
-    left: GroupSpec, right: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> int:
+def girth_of_product(left: GroupSpec, right: GroupSpec) -> int:
     """Girth of the order-divisor graph of a direct product of two groups.
 
     The graph has a triangle exactly when either factor realizes a
     composite order, or the factors realize two distinct primes.
     """
-    left_profile = order_profile(left, bound)
-    right_profile = order_profile(right, bound)
+    left_profile = order_profile(left)
+    right_profile = order_profile(right)
     for profile in (left_profile, right_profile):
         if any(numtheory.is_composite(m) for m in profile):
             return 3
@@ -211,16 +197,16 @@ def girth_of_product(
     return 0
 
 
-def is_star_group(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> bool:
+def is_star_group(spec: GroupSpec) -> bool:
     """True when every non-identity element order is prime."""
-    return all(m == 1 or numtheory.is_prime(m) for m in order_profile(spec, bound))
+    return all(m == 1 or numtheory.is_prime(m) for m in order_profile(spec))
 
 
-def is_bipartite_group(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> bool:
+def is_bipartite_group(spec: GroupSpec) -> bool:
     """True exactly when the graph is a star: any edge among non-identity
     vertices closes a triangle through the identity, which kills both
     bipartiteness and acyclicity at once."""
-    return is_star_group(spec, bound)
+    return is_star_group(spec)
 
 
 def is_path_group(spec: GroupSpec) -> bool:

@@ -1,8 +1,9 @@
 """Finite group families: cyclic, dihedral, unit groups, direct products.
 
-A group is described by an immutable ``GroupSpec``; elements are referred
-to by canonical integer indices so that reports and exports come out
-deterministic:
+A group is described by an immutable spec. Each spec class knows its own
+text form, order and order profile, and, for the explicit graph, the
+orders and labels of its elements, listed by canonical index so that
+reports and exports come out deterministic:
 
 * ``Cyclic(n)``   -- index ``i`` is the residue ``i``.
 * ``Dihedral(n)`` -- indices ``0..n-1`` are the rotations ``a^i``, indices
@@ -11,16 +12,22 @@ deterministic:
   residues taken in ascending order.
 * ``Product``     -- mixed-radix index over the factors, first factor most
   significant.
+
+Order profiles are closed forms for every family and enumerate nothing:
+Z_n has phi(d) elements of each order d | n; D_n adds its n reflections
+of order 2; U(n) splits by the Chinese remainder theorem into cyclic
+factors; and since |(g, h)| = lcm(|g|, |h|), the profile of a direct
+product is the lcm-convolution of the factor profiles. Only the
+per-element listings are subject to the enumeration bound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Union
 
 from . import numtheory
@@ -32,21 +39,34 @@ __all__ = [
     "Cyclic",
     "DEFAULT_ENUMERATION_BOUND",
     "Dihedral",
-    "Element",
     "GroupSpec",
     "OrderProfile",
     "Product",
     "Units",
     "direct_product",
-    "element_label",
     "element_labels",
-    "element_order",
     "element_orders",
-    "enumerate_elements",
     "format_spec",
     "group_order",
     "order_profile",
 ]
+
+
+def _check_parameter(family: str, n: int, least: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"{family} group requires an int parameter, got {n!r}")
+    if n < least:
+        raise DomainError(f"{family} group requires n >= {least}, got {n}")
+
+
+def _lcm_convolution(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    """Profile of G x H from the profiles of G and H."""
+    result: dict[int, int] = {}
+    for a, x in left.items():
+        for b, y in right.items():
+            m = math.lcm(a, b)
+            result[m] = result.get(m, 0) + x * y
+    return result
 
 
 @dataclass(frozen=True)
@@ -56,8 +76,23 @@ class Cyclic:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"cyclic group requires n >= 1, got {self.n}")
+        _check_parameter("cyclic", self.n, 1)
+
+    def text(self) -> str:
+        return f"Z{self.n}"
+
+    def order(self) -> int:
+        return self.n
+
+    def profile(self) -> dict[int, int]:
+        return {d: numtheory.euler_phi(d) for d in numtheory.divisors(self.n)}
+
+    def element_orders(self) -> tuple[int, ...]:
+        n = self.n
+        return tuple(n // math.gcd(i, n) for i in range(n))
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(str, range(self.n)))
 
 
 @dataclass(frozen=True)
@@ -67,8 +102,25 @@ class Dihedral:
     n: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise DomainError(f"dihedral group requires n >= 3, got {self.n}")
+        _check_parameter("dihedral", self.n, 3)
+
+    def text(self) -> str:
+        return f"D{self.n}"
+
+    def order(self) -> int:
+        return 2 * self.n
+
+    def profile(self) -> dict[int, int]:
+        entries = Cyclic(self.n).profile()
+        entries[2] = entries.get(2, 0) + self.n
+        return entries
+
+    def element_orders(self) -> tuple[int, ...]:
+        return Cyclic(self.n).element_orders() + (2,) * self.n
+
+    def labels(self) -> tuple[str, ...]:
+        powers = ["", "a", *(f"a{i}" for i in range(2, self.n))]
+        return ("e", *powers[1:], *(power + "b" for power in powers))
 
 
 @dataclass(frozen=True)
@@ -78,8 +130,37 @@ class Units:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"units group requires n >= 2, got {self.n}")
+        _check_parameter("units", self.n, 2)
+
+    def text(self) -> str:
+        return f"U{self.n}"
+
+    def order(self) -> int:
+        return numtheory.euler_phi(self.n)
+
+    def profile(self) -> dict[int, int]:
+        # U(n) is the product of U(p^k) over the prime powers of n; U(p^k)
+        # is cyclic of order phi(p^k) for odd p, U(2) is trivial, and
+        # U(2^k) is Z2 x Z_{2^(k-2)} for k >= 2
+        cyclic_orders = []
+        for p, k in numtheory.factorize(self.n):
+            if p > 2:
+                cyclic_orders.append((p - 1) * p ** (k - 1))
+            elif k >= 2:
+                cyclic_orders += [2, 2 ** (k - 2)]
+        factors = (Cyclic(m).profile() for m in cyclic_orders)
+        return functools.reduce(_lcm_convolution, factors, {1: 1})
+
+    def _residues(self) -> list[int]:
+        return [x for x in range(1, self.n) if math.gcd(x, self.n) == 1]
+
+    def element_orders(self) -> tuple[int, ...]:
+        return tuple(
+            numtheory.multiplicative_order(x, self.n) for x in self._residues()
+        )
+
+    def labels(self) -> tuple[str, ...]:
+        return tuple(map(str, self._residues()))
 
 
 @dataclass(frozen=True)
@@ -93,11 +174,35 @@ class Product:
         for factor in self.factors:
             if isinstance(factor, Product):
                 flat.extend(factor.factors)
-            else:
+            elif isinstance(factor, (Cyclic, Dihedral, Units)):
                 flat.append(factor)
+            else:
+                raise DomainError(f"not a group spec: {factor!r}")
         if len(flat) < 2:
             raise DomainError("direct product requires at least 2 factors")
         object.__setattr__(self, "factors", tuple(flat))
+
+    def text(self) -> str:
+        return "x".join(factor.text() for factor in self.factors)
+
+    def order(self) -> int:
+        return math.prod(factor.order() for factor in self.factors)
+
+    def profile(self) -> dict[int, int]:
+        # |(g, h)| = lcm(|g|, |h|)
+        return functools.reduce(
+            _lcm_convolution, (factor.profile() for factor in self.factors)
+        )
+
+    # itertools.product varies the last factor fastest, matching the
+    # mixed-radix indexing (first factor most significant)
+    def element_orders(self) -> tuple[int, ...]:
+        columns = [factor.element_orders() for factor in self.factors]
+        return tuple(math.lcm(*combo) for combo in itertools.product(*columns))
+
+    def labels(self) -> tuple[str, ...]:
+        columns = [factor.labels() for factor in self.factors]
+        return tuple(f"({','.join(combo)})" for combo in itertools.product(*columns))
 
 
 GroupSpec = Union[Cyclic, Dihedral, Units, Product]
@@ -110,126 +215,37 @@ def direct_product(*factors: GroupSpec) -> Product:
 
 def format_spec(spec: GroupSpec) -> str:
     """Canonical text form: ``Z6``, ``D4``, ``U24``, ``Z2xZ3``."""
-    if isinstance(spec, Cyclic):
-        return f"Z{spec.n}"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.n}"
-    if isinstance(spec, Units):
-        return f"U{spec.n}"
-    if isinstance(spec, Product):
-        return "x".join(format_spec(factor) for factor in spec.factors)
-    raise DomainError(f"not a group spec: {spec!r}")
+    return spec.text()
 
 
 def group_order(spec: GroupSpec) -> int:
     """|Z_n| = n, |D_n| = 2n, |U(n)| = phi(n); products multiply."""
-    if isinstance(spec, Cyclic):
-        return spec.n
-    if isinstance(spec, Dihedral):
-        return 2 * spec.n
-    if isinstance(spec, Units):
-        return numtheory.euler_phi(spec.n)
-    if isinstance(spec, Product):
-        order = 1
-        for factor in spec.factors:
-            order *= group_order(factor)
-        return order
-    raise DomainError(f"not a group spec: {spec!r}")
+    return spec.order()
 
 
-@dataclass(frozen=True)
-class Element:
-    """One group element, identified by its canonical index."""
-
-    group: GroupSpec
-    index: int
-
-    def __post_init__(self):
-        order = group_order(self.group)
-        if not 0 <= self.index < order:
-            raise DomainError(
-                f"element index {self.index} out of range for a group of order {order}"
-            )
-
-
-@lru_cache(maxsize=None)
-def _unit_residues(n: int) -> tuple[int, ...]:
-    return tuple(x for x in range(1, n) if math.gcd(x, n) == 1)
-
-
-def _decode_product_index(spec: Product, index: int) -> tuple[int, ...]:
-    components = []
-    for factor in reversed(spec.factors):
-        size = group_order(factor)
-        components.append(index % size)
-        index //= size
-    return tuple(reversed(components))
-
-
-def _order_of_index(spec: GroupSpec, index: int) -> int:
-    if isinstance(spec, Cyclic):
-        return spec.n // math.gcd(index, spec.n)
-    if isinstance(spec, Dihedral):
-        if index < spec.n:
-            return spec.n // math.gcd(index, spec.n)
-        return 2
-    if isinstance(spec, Units):
-        return numtheory.multiplicative_order(_unit_residues(spec.n)[index], spec.n)
-    if isinstance(spec, Product):
-        order = 1
-        for factor, component in zip(spec.factors, _decode_product_index(spec, index)):
-            order = math.lcm(order, _order_of_index(factor, component))
-        return order
-    raise DomainError(f"not a group spec: {spec!r}")
-
-
-def element_order(element: Element) -> int:
-    """Least t >= 1 such that composing the element t times gives the identity."""
-    return _order_of_index(element.group, element.index)
-
-
-def _check_enumerable(spec: GroupSpec, bound: int) -> int:
+def _check_enumerable(spec: GroupSpec, bound: int) -> None:
     order = group_order(spec)
     if order > bound:
         raise EnumerationBoundError(
             f"group order {order} exceeds the enumeration bound {bound}"
         )
-    return order
-
-
-def enumerate_elements(
-    spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> list[Element]:
-    """All elements in canonical index order (bound-checked)."""
-    order = _check_enumerable(spec, bound)
-    return [Element(spec, index) for index in range(order)]
 
 
 def element_orders(
     spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND
 ) -> tuple[int, ...]:
-    """Orders of all elements, aligned with canonical indices."""
+    """Orders of all elements, aligned with canonical indices (bound-checked)."""
     _check_enumerable(spec, bound)
-    return _element_orders(spec)
+    return spec.element_orders()
 
 
-def _element_orders(spec: GroupSpec) -> tuple[int, ...]:
-    if isinstance(spec, Cyclic):
-        n = spec.n
-        return tuple(n // math.gcd(i, n) for i in range(n))
-    if isinstance(spec, Dihedral):
-        n = spec.n
-        rotations = tuple(n // math.gcd(i, n) for i in range(n))
-        return rotations + (2,) * n
-    if isinstance(spec, Units):
-        n = spec.n
-        return tuple(numtheory.multiplicative_order(x, n) for x in _unit_residues(n))
-    if isinstance(spec, Product):
-        # itertools.product varies the last factor fastest, matching the
-        # mixed-radix indexing (first factor most significant)
-        factor_orders = [_element_orders(factor) for factor in spec.factors]
-        return tuple(math.lcm(*combo) for combo in itertools.product(*factor_orders))
-    raise DomainError(f"not a group spec: {spec!r}")
+def element_labels(
+    spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND
+) -> tuple[str, ...]:
+    """Short deterministic ASCII names of all elements, aligned with
+    canonical indices (bound-checked); used in tables and graph exports."""
+    _check_enumerable(spec, bound)
+    return spec.labels()
 
 
 class OrderProfile(Mapping):
@@ -287,60 +303,11 @@ class OrderProfile(Mapping):
         return f"OrderProfile({{{inner}}})"
 
 
-def order_profile(
-    spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> OrderProfile:
-    """Order -> multiplicity map.
+def order_profile(spec: GroupSpec) -> OrderProfile:
+    """Order -> multiplicity map, in closed form for every family.
 
-    Cyclic and dihedral groups use closed forms (phi over the divisors,
-    plus the n reflections of order 2); unit groups and products are
-    enumerated, subject to the bound.
+    Nothing is enumerated, so this works at any group order: Z_n and D_n
+    read off the divisors of n, U(n) is a CRT product of cyclic groups,
+    and a direct product convolves its factor profiles under lcm.
     """
-    if isinstance(spec, Cyclic):
-        return OrderProfile(
-            {d: numtheory.euler_phi(d) for d in numtheory.divisors(spec.n)}
-        )
-    if isinstance(spec, Dihedral):
-        entries = {d: numtheory.euler_phi(d) for d in numtheory.divisors(spec.n)}
-        entries[2] = entries.get(2, 0) + spec.n
-        return OrderProfile(entries)
-    if isinstance(spec, (Units, Product)):
-        return OrderProfile(Counter(element_orders(spec, bound)))
-    raise DomainError(f"not a group spec: {spec!r}")
-
-
-def _label_of_index(spec: GroupSpec, index: int) -> str:
-    if isinstance(spec, Cyclic):
-        return str(index)
-    if isinstance(spec, Units):
-        return str(_unit_residues(spec.n)[index])
-    if isinstance(spec, Dihedral):
-        n = spec.n
-        if index < n:
-            if index == 0:
-                return "e"
-            return "a" if index == 1 else f"a{index}"
-        j = index - n
-        if j == 0:
-            return "b"
-        return "ab" if j == 1 else f"a{j}b"
-    if isinstance(spec, Product):
-        parts = [
-            _label_of_index(factor, component)
-            for factor, component in zip(spec.factors, _decode_product_index(spec, index))
-        ]
-        return "(" + ",".join(parts) + ")"
-    raise DomainError(f"not a group spec: {spec!r}")
-
-
-def element_label(element: Element) -> str:
-    """Short deterministic ASCII name, used in tables and graph exports."""
-    return _label_of_index(element.group, element.index)
-
-
-def element_labels(
-    spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND
-) -> tuple[str, ...]:
-    """Labels of all elements, aligned with canonical indices."""
-    order = _check_enumerable(spec, bound)
-    return tuple(_label_of_index(spec, index) for index in range(order))
+    return OrderProfile(spec.profile())

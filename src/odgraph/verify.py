@@ -9,6 +9,7 @@ completion and reports deterministically.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -34,7 +35,7 @@ from .groups import (
     group_order,
     order_profile,
 )
-from .errors import DomainError
+from .errors import DomainError, EnumerationBoundError
 
 __all__ = [
     "CheckResult",
@@ -43,6 +44,7 @@ __all__ = [
     "SWEEP_FAMILIES",
     "SweepReport",
     "VerificationResult",
+    "family_formulas",
     "sweep",
     "verify_group",
 ]
@@ -150,22 +152,22 @@ class VerificationResult:
         }
 
 
-def _family_degrees(
-    spec: GroupSpec, profile, suite: FormulaSuite
-) -> Optional[dict[int, int]]:
-    if isinstance(spec, Cyclic):
-        return {m: suite.deg_zn(spec.n, m) for m in profile}
-    if isinstance(spec, Dihedral):
-        return {m: suite.deg_dn(spec.n, m) for m in profile}
-    return None
+def family_formulas(
+    spec: GroupSpec, suite
+) -> Optional[tuple[Callable[[int], int], Callable[[], int]]]:
+    """The closed forms for Z_n or D_n, as (degree of an order-m vertex,
+    edge count); None for the families that only have the profile route.
 
-
-def _family_size(spec: GroupSpec, suite: FormulaSuite) -> Optional[int]:
+    ``suite`` supplies ``deg_zn``, ``deg_dn``, ``size_zn`` and ``size_dn``:
+    a FormulaSuite, or the formulas module itself.
+    """
     if isinstance(spec, Cyclic):
-        return suite.size_zn(spec.n)
-    if isinstance(spec, Dihedral):
-        return suite.size_dn(spec.n)
-    return None
+        degree, size = suite.deg_zn, suite.size_zn
+    elif isinstance(spec, Dihedral):
+        degree, size = suite.deg_dn, suite.size_dn
+    else:
+        return None
+    return functools.partial(degree, spec.n), functools.partial(size, spec.n)
 
 
 def verify_group(
@@ -178,21 +180,15 @@ def verify_group(
     """Check one group along both routes; never raises on mismatch."""
     text = format_spec(spec)
     order = group_order(spec)
-    if order > enum_bound:
-        return VerificationResult(
-            spec,
-            text,
-            order,
-            checks=(),
-            error=f"group order {order} exceeds the enumeration bound {enum_bound}",
-        )
-
-    profile = order_profile(spec, enum_bound)
-    graph = build_graph(spec, enum_bound)
+    try:
+        graph = build_graph(spec, enum_bound)
+    except EnumerationBoundError as exc:
+        return VerificationResult(spec, text, order, checks=(), error=str(exc))
+    profile = order_profile(spec)
     report = oracle_report(graph, chromatic_bound=chromatic_bound)
     checks: list[CheckResult] = []
 
-    # order profile: closed form / fast path vs per-element recount
+    # order profile: closed form vs per-element recount
     recount = dict(Counter(graph.orders))
     checks.append(_compare("order_profile", dict(profile), recount))
 
@@ -205,15 +201,15 @@ def verify_group(
         )
     )
 
-    family_degrees = _family_degrees(spec, profile, suite)
-    if family_degrees is not None:
+    closed_forms = family_formulas(spec, suite)
+    if closed_forms is not None:
+        family_degrees = {m: closed_forms[0](m) for m in profile}
         checks.append(_compare("degrees_formula", family_degrees, oracle_degrees))
 
     # edge counts
     checks.append(_compare("size_profile", size_via_profile(profile), report.size))
-    family_size = _family_size(spec, suite)
-    if family_size is not None:
-        checks.append(_compare("size_formula", family_size, report.size))
+    if closed_forms is not None:
+        checks.append(_compare("size_formula", closed_forms[1](), report.size))
 
     # girth, three ways: profile rule, raw composite-order criterion,
     # and (for two-factor products) the factor-wise criterion
@@ -234,14 +230,12 @@ def verify_group(
     composite_rule = 3 if any(numtheory.is_composite(m) for m in profile) else 0
     checks.append(_compare("girth_composite_rule", composite_rule, report.girth))
     if isinstance(spec, Product) and len(spec.factors) == 2:
-        product_girth = formulas.girth_of_product(
-            spec.factors[0], spec.factors[1], bound=enum_bound
-        )
+        product_girth = formulas.girth_of_product(spec.factors[0], spec.factors[1])
         checks.append(_compare("girth_product_rule", product_girth, report.girth))
 
     # star / bipartite / acyclic / all-orders-prime must agree as one block
     all_prime = all(m == 1 or numtheory.is_prime(m) for m in profile)
-    star_formula = formulas.is_star_group(spec, enum_bound)
+    star_formula = formulas.is_star_group(spec)
     flags = {
         all_prime,
         star_formula,
@@ -321,9 +315,10 @@ def verify_group(
     return VerificationResult(spec, text, order, tuple(checks), info)
 
 
-SWEEP_FAMILIES = ("cyclic", "dihedral", "units", "product")
+# the atom each family sweeps; ``product`` pairs two cyclic atoms
+_SWEEP_ATOMS = {"cyclic": Cyclic, "dihedral": Dihedral, "units": Units, "product": Cyclic}
 
-_FAMILY_MINIMUM = {"cyclic": 1, "dihedral": 3, "units": 2, "product": 1}
+SWEEP_FAMILIES = tuple(_SWEEP_ATOMS)
 
 
 def _sweep_specs(family: str, lo: int, hi: int) -> list[GroupSpec]:
@@ -333,20 +328,11 @@ def _sweep_specs(family: str, lo: int, hi: int) -> list[GroupSpec]:
         )
     if lo > hi:
         raise DomainError(f"empty range {lo}..{hi}")
-    minimum = _FAMILY_MINIMUM[family]
-    if lo < minimum:
-        raise DomainError(f"family {family} requires parameters >= {minimum}, got {lo}")
-    if family == "cyclic":
-        return [Cyclic(n) for n in range(lo, hi + 1)]
-    if family == "dihedral":
-        return [Dihedral(n) for n in range(lo, hi + 1)]
-    if family == "units":
-        return [Units(n) for n in range(lo, hi + 1)]
-    return [
-        Product((Cyclic(a), Cyclic(b)))
-        for a in range(lo, hi + 1)
-        for b in range(lo, hi + 1)
-    ]
+    # the constructors reject parameters below the family minimum
+    atoms = [_SWEEP_ATOMS[family](n) for n in range(lo, hi + 1)]
+    if family == "product":
+        return [Product((a, b)) for a in atoms for b in atoms]
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -416,9 +402,7 @@ def sweep(
     )
     notes: dict[str, Any] = {}
     if family == "units":
-        star_instances = [
-            spec.n for spec in specs if formulas.is_star_group(spec, enum_bound)
-        ]
+        star_instances = [spec.n for spec in specs if formulas.is_star_group(spec)]
         divisors_of_24 = [n for n in range(lo, hi + 1) if 24 % n == 0]
         notes = {
             "star_instances": star_instances,

@@ -42,8 +42,7 @@ from odgraph.groups import (
     Dihedral,
     Units,
     direct_product,
-    element_order,
-    enumerate_elements,
+    element_orders,
     group_order,
     order_profile,
 )
@@ -93,11 +92,10 @@ def test_criterion_1_cyclic_six_degrees_and_size():
         graph = graph_of(spec)
         profile = order_profile(spec)
         expected = {0: 5, 1: 4, 2: 3, 3: 3, 4: 3, 5: 4}
-        for element in enumerate_elements(spec):
-            m = element_order(element)
-            assert graph.degree(element.index) == expected[element.index]
-            assert deg_zn(6, m) == expected[element.index]
-            assert degree_via_profile(profile, m) == expected[element.index]
+        for index, m in enumerate(element_orders(spec)):
+            assert graph.degree(index) == expected[index]
+            assert deg_zn(6, m) == expected[index]
+            assert degree_via_profile(profile, m) == expected[index]
         assert size_zn(6) == 11
         assert graph.edge_count == 11
         assert size_via_profile(profile) == 11

@@ -148,6 +148,19 @@ def test_degrees_oracle_flag_fails_past_bound(capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["U1000003", "Z2xU1000003"])
+def test_formula_commands_work_past_bound_for_every_family(spec, capsys):
+    # orders 1000002 and 2000004: the profile is a closed form, so only
+    # the oracle column is left out
+    for command in ("classify", "size", "girth"):
+        assert main([command, spec]) == 0
+    capsys.readouterr()
+    assert main(["degrees", spec]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rows
+    assert all(row.split()[-1] == "-" for row in rows)
+
+
 # --- classify -------------------------------------------------------------------
 
 
@@ -272,6 +285,22 @@ def test_verify_usage_errors(capsys):
     assert main(["verify", "cyclic", "5-3"]) == 2
     assert main(["verify", "dihedral", "1..5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cyclic", "1..3", "--enum-bound", "-5"],
+        ["export", "Z6", "--format", "json", "--chromatic-bound", "-1"],
+        ["verify", "cyclic", "1..3", "--chromatic-bound", "-1"],
+        ["size", "Z6", "--enum-bound", "-1"],
+    ],
+)
+def test_negative_bounds_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
 
 
 def test_unknown_family_rejected_by_argparse(capsys):

@@ -249,8 +249,8 @@ def test_girth_matches_oracle_small_sweep():
 
 
 def test_girth_composite_clause_subsumes_divisibility_clause():
-    # the defensive divisibility clause must never contradict the
-    # composite-order rule on real groups
+    # a divisor pair of distinct non-identity orders makes the larger one
+    # composite, so the composite-order rule alone decides the girth
     for spec in [Cyclic(n) for n in range(1, 121)] + [Dihedral(n) for n in range(3, 61)]:
         profile = order_profile(spec)
         composite_only = 3 if any(m > 1 and not is_prime(m) for m in profile) else 0

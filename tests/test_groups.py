@@ -1,5 +1,6 @@
 """Group families: orders, element indexing, and order profiles."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -9,16 +10,12 @@ from odgraph.errors import DomainError, EnumerationBoundError
 from odgraph.groups import (
     Cyclic,
     Dihedral,
-    Element,
     OrderProfile,
     Product,
     Units,
     direct_product,
-    element_label,
     element_labels,
-    element_order,
     element_orders,
-    enumerate_elements,
     format_spec,
     group_order,
     order_profile,
@@ -37,6 +34,41 @@ def product_order_oracle(moduli: list[int], components: list[int]) -> int:
         state = [(s + c) % m for s, c, m in zip(state, components, moduli)]
         t += 1
     return t
+
+
+def brute_force_elements(spec):
+    """(identity, multiply, elements in canonical index order) from the
+    group law itself; a dihedral element (i, s) stands for a^i b^s."""
+    if isinstance(spec, Cyclic):
+        return 0, lambda x, y: (x + y) % spec.n, list(range(spec.n))
+    if isinstance(spec, Dihedral):
+        n = spec.n
+
+        def multiply(x, y):
+            (i, s), (j, t) = x, y
+            return ((i + (-1) ** s * j) % n, (s + t) % 2)
+
+        return (0, 0), multiply, [(i, s) for s in (0, 1) for i in range(n)]
+    if isinstance(spec, Units):
+        return 1, lambda x, y: x * y % spec.n, units_oracle(spec.n)
+    parts = [brute_force_elements(factor) for factor in spec.factors]
+
+    def multiply(x, y):
+        return tuple(part[1](a, b) for part, a, b in zip(parts, x, y))
+
+    identity = tuple(part[0] for part in parts)
+    return identity, multiply, list(itertools.product(*(part[2] for part in parts)))
+
+
+def brute_force_orders(spec) -> list[int]:
+    identity, multiply, elements = brute_force_elements(spec)
+    orders = []
+    for g in elements:
+        power, t = g, 1
+        while power != identity:
+            power, t = multiply(power, g), t + 1
+        orders.append(t)
+    return orders
 
 
 def test_group_orders():
@@ -72,46 +104,58 @@ def test_format_spec():
     assert format_spec(direct_product(Cyclic(2), Cyclic(3))) == "Z2xZ3"
 
 
+def test_constructors_reject_non_ints():
+    with pytest.raises(DomainError):
+        Cyclic(2.5)
+    with pytest.raises(DomainError):
+        Cyclic(True)
+    with pytest.raises(DomainError):
+        Dihedral("4")
+    with pytest.raises(DomainError):
+        Units(8.0)
+
+
+def test_product_rejects_non_specs():
+    with pytest.raises(DomainError):
+        Product((Cyclic(2), 3))
+    with pytest.raises(DomainError):
+        direct_product(Cyclic(2), "Z3")
+
+
 def test_element_index_bounds():
-    Element(Cyclic(6), 5)
-    with pytest.raises(DomainError):
-        Element(Cyclic(6), 6)
-    with pytest.raises(DomainError):
-        Element(Cyclic(6), -1)
+    # canonical indices run over 0..order-1, one per element
+    for spec in [Cyclic(6), Dihedral(5), Units(20), direct_product(Cyclic(2), Units(9))]:
+        labels = element_labels(spec)
+        assert len(element_orders(spec)) == len(labels) == group_order(spec)
+        assert len(set(labels)) == len(labels)
 
 
 def test_cyclic_element_orders():
-    spec = Cyclic(6)
-    orders = [element_order(Element(spec, i)) for i in range(6)]
-    assert orders == [1, 6, 3, 2, 3, 6]
+    assert element_orders(Cyclic(6)) == (1, 6, 3, 2, 3, 6)
 
 
 def test_dihedral_element_orders():
-    spec = Dihedral(4)
-    orders = [element_order(Element(spec, i)) for i in range(8)]
     # rotations e, a, a2, a3 then four reflections
-    assert orders == [1, 4, 2, 4, 2, 2, 2, 2]
+    assert element_orders(Dihedral(4)) == (1, 4, 2, 4, 2, 2, 2, 2)
 
 
 def test_units_element_orders():
     spec = Units(8)
     assert element_orders(spec) == (1, 2, 2, 2)
-    assert [element_label(Element(spec, i)) for i in range(4)] == ["1", "3", "5", "7"]
+    assert element_labels(spec) == ("1", "3", "5", "7")
 
 
 def test_product_element_order_against_oracle():
     spec = direct_product(Cyclic(2), Cyclic(3))
-    e = Element(spec, 4)  # mixed radix: components (1, 1)
-    assert element_order(e) == 6
+    orders = element_orders(spec)
+    assert orders[4] == 6  # mixed radix: components (1, 1)
     assert product_order_oracle([2, 3], [1, 1]) == 6
     for index in range(6):
         i, j = divmod(index, 3)
-        assert element_order(Element(spec, index)) == product_order_oracle(
-            [2, 3], [i, j]
-        )
+        assert orders[index] == product_order_oracle([2, 3], [i, j])
 
 
-def test_element_orders_matches_element_order():
+def test_element_orders_match_brute_force():
     specs = [
         Cyclic(12),
         Dihedral(6),
@@ -122,17 +166,20 @@ def test_element_orders_matches_element_order():
     for spec in specs:
         fast = element_orders(spec)
         assert len(fast) == group_order(spec)
-        for index, order in enumerate(fast):
-            assert order == element_order(Element(spec, index))
+        assert list(fast) == brute_force_orders(spec)
 
 
 def test_enumerate_elements():
-    elements = enumerate_elements(Cyclic(5))
-    assert [e.index for e in elements] == [0, 1, 2, 3, 4]
+    assert element_labels(Cyclic(5)) == ("0", "1", "2", "3", "4")
     with pytest.raises(EnumerationBoundError):
-        enumerate_elements(Cyclic(10), bound=5)
+        element_orders(Cyclic(10), bound=5)
     with pytest.raises(EnumerationBoundError):
-        element_orders(direct_product(Cyclic(400), Cyclic(300)), bound=100_000)
+        element_labels(Cyclic(10), bound=5)
+    big = direct_product(Cyclic(400), Cyclic(300))
+    with pytest.raises(EnumerationBoundError):
+        element_orders(big, bound=100_000)
+    # the profile is a closed form, so the bound does not apply to it
+    assert order_profile(big).group_order == 120_000
 
 
 def test_order_profile_examples():
@@ -182,22 +229,23 @@ def test_profile_matches_enumeration_dihedral():
 
 
 def test_profile_matches_enumeration_units():
-    # the profile for units is itself enumerated; recount through the
-    # Element layer to exercise the index decoding as well
-    for n in [*range(2, 501), 729, 1000, 1536, 2000]:
+    # the closed form (CRT into cyclic factors) against a recount of the
+    # enumerated element orders
+    for n in range(2, 2001):
         spec = Units(n)
-        profile = order_profile(spec)
-        recount = Counter(element_order(e) for e in enumerate_elements(spec))
-        assert profile == recount
+        assert order_profile(spec) == Counter(element_orders(spec)), n
 
 
 def test_profile_matches_enumeration_products():
-    pairs = [(1, 1), (1, 7), (2, 2), (2, 3), (4, 6), (12, 10), (30, 30), (8, 125)]
-    for a, b in pairs:
-        spec = direct_product(Cyclic(a), Cyclic(b))
-        profile = order_profile(spec)
-        recount = Counter(element_order(e) for e in enumerate_elements(spec))
-        assert profile == recount
+    specs = [
+        *(direct_product(Cyclic(a), Cyclic(b)) for a in range(1, 25) for b in range(1, 25)),
+        *(direct_product(Cyclic(a), Dihedral(b)) for a in range(1, 25) for b in range(3, 25)),
+        *(direct_product(Units(m), Cyclic(a)) for m in range(2, 40) for a in range(1, 13)),
+        direct_product(Cyclic(8), Cyclic(125)),
+        direct_product(Cyclic(2), Dihedral(3), Units(5)),
+    ]
+    for spec in specs:
+        assert order_profile(spec) == Counter(element_orders(spec)), spec
 
 
 def test_order_profile_validation():

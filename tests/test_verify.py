@@ -71,6 +71,17 @@ def test_verify_respects_enumeration_bound():
     assert result.checks == ()
 
 
+@pytest.mark.parametrize("spec", [Units(15), direct_product(Cyclic(2), Cyclic(4))])
+def test_corrupted_closed_form_profile_fails(spec, monkeypatch):
+    # both groups have the profile {1: 1, 2: 3, 4: 4}; the enumerated
+    # recount on the graph side must catch a wrong closed form
+    assert verify_group(spec).passed
+    monkeypatch.setattr(type(spec), "profile", lambda self: {1: 1, 2: 5, 4: 2})
+    result = verify_group(spec)
+    assert not result.passed
+    assert result.first_mismatch.startswith("order_profile")
+
+
 def test_first_mismatch_reporting():
     good = verify_group(Cyclic(6))
     assert good.first_mismatch is None
