@@ -3,16 +3,18 @@
 The order-divisor graph of a finite group has one vertex per element; two
 distinct vertices are adjacent exactly when their element orders differ
 and one order divides the other. Everything in this module is computed
-directly on the explicit graph (breadth-first searches, 2-colorings,
-backtracking search), so it can serve as an independent oracle for the
-closed-form results elsewhere in the package.
+directly on the explicit graph (breadth-first layers, backtracking search),
+so it can serve as an independent oracle for the closed-form results
+elsewhere in the package. The chromatic number is exact backtracking on the
+quotient by twins (vertices with identical neighbor sets); verification
+reports it as information only, not as a check.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError
 from .groups import (
@@ -137,9 +139,9 @@ def class_degrees(graph: ODGraph) -> tuple[dict[int, int], Optional[str]]:
 def _twin_groups(graph: ODGraph) -> tuple[list[int], list[int]]:
     """Group vertices with identical neighbor sets.
 
-    Such vertices are interchangeable for distance and shortest-cycle
-    computations, so a BFS per representative suffices. Returns the list
-    of representatives and a vertex -> representative table.
+    Such vertices are never adjacent and are interchangeable for distances,
+    shortest cycles and colorings, so one representative each suffices.
+    Returns the list of representatives and a vertex -> representative table.
     """
     reps_by_signature: dict[tuple[int, ...], int] = {}
     rep_of = [0] * graph.vertex_count
@@ -148,94 +150,77 @@ def _twin_groups(graph: ODGraph) -> tuple[list[int], list[int]]:
     return sorted(reps_by_signature.values()), rep_of
 
 
-def _bfs_eccentricity(graph: ODGraph, start: int) -> int:
-    visited = {start}
-    frontier = {start}
-    ecc = 0
-    while True:
+def _bfs_levels(graph: ODGraph, root: int) -> Iterator[set[int]]:
+    """Breadth-first layers of root's component: {root}, its neighbors, ...
+
+    Each layer is built only when the caller asks for the next one, so a
+    caller that stops early skips the rest of the search.
+    """
+    visited = {root}
+    frontier = {root}
+    while frontier:
+        yield frontier
         next_frontier: set[int] = set()
         for u in frontier:
             next_frontier.update(graph.adjacency[u])
         next_frontier -= visited
-        if not next_frontier:
-            break
         visited |= next_frontier
         frontier = next_frontier
-        ecc += 1
-    if len(visited) != graph.vertex_count:
-        raise DomainError("graph is disconnected; eccentricities are undefined")
-    return ecc
 
 
 def eccentricities(graph: ODGraph) -> list[int]:
     """BFS eccentricity of every vertex; raises on disconnected graphs."""
     reps, rep_of = _twin_groups(graph)
-    ecc_of_rep = {rep: _bfs_eccentricity(graph, rep) for rep in reps}
+    ecc_of_rep = {}
+    for rep in reps:
+        sizes = [len(layer) for layer in _bfs_levels(graph, rep)]
+        if sum(sizes) != graph.vertex_count:
+            raise DomainError("graph is disconnected; eccentricities are undefined")
+        ecc_of_rep[rep] = len(sizes) - 1
     return [ecc_of_rep[rep_of[v]] for v in range(graph.vertex_count)]
 
 
 def oracle_girth(graph: ODGraph) -> int:
     """Length of a shortest cycle, 0 when the graph is acyclic.
 
-    BFS from every twin-class representative; the shortest cycle seen over
-    all roots is exact, and 3 is an early exit (no shorter cycle exists in
-    a simple graph).
+    BFS layers from every twin representative: a layer-i vertex with two
+    neighbors in layer i - 1 closes a cycle of length at most 2i, an edge
+    inside layer i one of at most 2i + 1, and both are exact from a root on
+    a shortest cycle. 3 is an early exit (no shorter cycle exists).
     """
-    shortest: Optional[int] = None
+    adjacency = graph.adjacency
+    shortest = 0
     roots, _ = _twin_groups(graph)
     for root in roots:
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in graph.adjacency[u]:
-                if w not in dist:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    cycle = du + dist[w] + 1
-                    if shortest is None or cycle < shortest:
-                        shortest = cycle
-                        if shortest == 3:
-                            return 3
-    return 0 if shortest is None else shortest
+        previous: set[int] = set()
+        for i, layer in enumerate(_bfs_levels(graph, root)):
+            if len(previous) > 1 and any(
+                len(previous.intersection(adjacency[v])) > 1 for v in layer
+            ):
+                shortest = 2 * i
+                break
+            if any(not layer.isdisjoint(adjacency[v]) for v in layer):
+                if i == 1:
+                    return 3
+                shortest = 2 * i + 1
+                break
+            if shortest and 2 * (i + 1) >= shortest:
+                break
+            previous = layer
+    return shortest
 
 
 def oracle_is_bipartite(graph: ODGraph) -> bool:
-    """BFS 2-coloring over every component."""
-    color: dict[int, int] = {}
-    for start in range(graph.vertex_count):
-        if start in color:
+    """No edge inside any BFS layer, over every component."""
+    reached: set[int] = set()
+    for root in range(graph.vertex_count):
+        if root in reached:
             continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in graph.adjacency[u]:
-                if w not in color:
-                    color[w] = color[u] ^ 1
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
+        for layer in _bfs_levels(graph, root):
+            if any(not layer.isdisjoint(graph.adjacency[v]) for v in layer):
+                return False
+            reached |= layer
     return True
-
-
-def _is_connected(graph: ODGraph) -> bool:
-    n = graph.vertex_count
-    if n == 0:
-        return True
-    visited = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in graph.adjacency[u]:
-            if w not in visited:
-                visited.add(w)
-                queue.append(w)
-    return len(visited) == n
 
 
 def oracle_is_star(graph: ODGraph) -> bool:
@@ -261,7 +246,7 @@ def oracle_is_path(graph: ODGraph) -> bool:
     degrees = sorted(len(neighbors) for neighbors in graph.adjacency)
     if degrees != [1, 1] + [2] * (n - 2):
         return False
-    return _is_connected(graph)
+    return sum(map(len, _bfs_levels(graph, 0))) == n
 
 
 def oracle_is_cycle_graph(graph: ODGraph) -> bool:
@@ -271,39 +256,7 @@ def oracle_is_cycle_graph(graph: ODGraph) -> bool:
         return False
     if any(len(neighbors) != 2 for neighbors in graph.adjacency):
         return False
-    return graph.edge_count == n and _is_connected(graph)
-
-
-def _max_clique_size(adjacency: list[set[int]]) -> int:
-    best = 0
-
-    def expand(size: int, candidates: set[int]) -> None:
-        nonlocal best
-        if size + len(candidates) <= best:
-            return
-        if not candidates:
-            best = max(best, size)
-            return
-        pivot = max(candidates, key=lambda u: len(adjacency[u] & candidates))
-        for v in sorted(candidates - adjacency[pivot]):
-            expand(size + 1, candidates & adjacency[v])
-            candidates = candidates - {v}
-
-    expand(0, set(range(len(adjacency))))
-    return best
-
-
-def _greedy_color_count(adjacency: list[set[int]], order: list[int]) -> int:
-    colors: dict[int, int] = {}
-    used_count = 0
-    for v in order:
-        taken = {colors[w] for w in adjacency[v] if w in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-        used_count = max(used_count, c + 1)
-    return used_count
+    return graph.edge_count == n and sum(map(len, _bfs_levels(graph, 0))) == n
 
 
 def _k_colorable(adjacency: list[set[int]], order: list[int], k: int) -> bool:
@@ -330,22 +283,18 @@ def _k_colorable(adjacency: list[set[int]], order: list[int], k: int) -> bool:
 def oracle_chromatic_number(
     graph: ODGraph, max_vertices: int = DEFAULT_CHROMATIC_BOUND
 ) -> Optional[int]:
-    """Exact chromatic number by backtracking; None when past max_vertices."""
-    n = graph.vertex_count
-    if n > max_vertices:
+    """Exact chromatic number by backtracking; None when past max_vertices.
+
+    Runs on the subgraph induced by the twin representatives, which has the
+    same chromatic number: each twin takes its representative's color.
+    """
+    if graph.vertex_count > max_vertices:
         return None
-    if n == 0:
-        return 0
-    if graph.edge_count == 0:
-        return 1
-    adjacency = [set(neighbors) for neighbors in graph.adjacency]
-    order = sorted(range(n), key=lambda v: -len(adjacency[v]))
-    lower = _max_clique_size(adjacency)
-    upper = _greedy_color_count(adjacency, order)
-    for k in range(lower, upper):
-        if _k_colorable(adjacency, order, k):
-            return k
-    return upper
+    reps, _ = _twin_groups(graph)
+    index = {rep: i for i, rep in enumerate(reps)}
+    adjacency = [{index[w] for w in graph.adjacency[r] if w in index} for r in reps]
+    order = sorted(range(len(reps)), key=lambda v: -len(adjacency[v]))
+    return next(k for k in itertools.count() if _k_colorable(adjacency, order, k))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Exact integer number theory: totients, divisors, factorization, orders.
 
 Everything works on plain Python ints, which are arbitrary precision, so
-there is no overflow to guard against; the practical ceiling is
-trial-division factorization, comfortable up to about 10**12.
+there is no overflow to guard against; the ceiling is trial-division
+factorization, which stops at a fixed divisor limit (see ``factorize``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ __all__ = [
     "multiplicative_order",
 ]
 
+_TRIAL_DIVISION_LIMIT = 10**7
+
 
 def _require_natural(n: int, name: str = "n") -> None:
     if isinstance(n, bool) or not isinstance(n, int):
@@ -31,7 +33,12 @@ def _require_natural(n: int, name: str = "n") -> None:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n as ((prime, exponent), ...), primes ascending."""
+    """Prime factorization of n as ((prime, exponent), ...), primes ascending.
+
+    Trial division stops at divisor 10**7 (about a second of work), so every
+    n < 10**14 factors; a larger n factors only if what remains after its
+    primes below 10**7 is 1 or a prime below 10**14, else DomainError.
+    """
     _require_natural(n)
     factors = []
     m = n
@@ -43,14 +50,21 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             factors.append((p, e))
     p = 5
-    while p * p <= m:
+    stop = min(math.isqrt(m), _TRIAL_DIVISION_LIMIT)
+    while p <= stop:
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
+            stop = min(math.isqrt(m), _TRIAL_DIVISION_LIMIT)
         p += 2 if p % 6 == 5 else 4
+    if p * p <= m:
+        raise DomainError(
+            f"cannot factor {n}: cofactor {m} has no prime factor up to "
+            f"{_TRIAL_DIVISION_LIMIT} and is too large to be proved prime"
+        )
     if m > 1:
         factors.append((m, 1))
     return tuple(factors)

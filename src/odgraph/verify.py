@@ -114,6 +114,15 @@ def _compare(
     return CheckResult(name, formula, oracle, passed, None if passed else detail)
 
 
+def _holds(
+    name: str, formula: Any, oracle: Any, passed: bool, problem: str
+) -> CheckResult:
+    """A check that passes on a condition other than equality; ``problem``
+    says what a failure found."""
+    detail = None if passed else f"{name}: {problem}"
+    return CheckResult(name, formula, oracle, passed, detail)
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     """All checks for one group instance."""
@@ -135,9 +144,7 @@ class VerificationResult:
             return self.error
         for check in self.checks:
             if not check.passed:
-                return check.detail or _first_diff(
-                    check.name, check.formula, check.oracle
-                )
+                return check.detail
         return None
 
     def to_dict(self) -> dict[str, Any]:
@@ -217,14 +224,12 @@ def verify_group(
         _compare("girth", formulas.girth_from_profile(profile), report.girth)
     )
     checks.append(
-        CheckResult(
+        _holds(
             "girth_dichotomy",
             [0, 3],
             report.girth,
-            passed=report.girth in (0, 3),
-            detail=None
-            if report.girth in (0, 3)
-            else f"girth_dichotomy: oracle girth {report.girth} is neither 0 nor 3",
+            report.girth in (0, 3),
+            f"oracle girth {report.girth} is neither 0 nor 3",
         )
     )
     composite_rule = 3 if any(numtheory.is_composite(m) for m in profile) else 0
@@ -250,14 +255,12 @@ def verify_group(
         "acyclic": report.girth == 0,
     }
     checks.append(
-        CheckResult(
+        _holds(
             "star_equivalence",
             formula_side,
             oracle_side,
-            passed=len(flags) == 1,
-            detail=None
-            if len(flags) == 1
-            else f"star_equivalence: formula {formula_side!r} vs oracle {oracle_side!r}",
+            len(flags) == 1,
+            f"formula {formula_side!r} vs oracle {oracle_side!r}",
         )
     )
 
@@ -283,23 +286,13 @@ def verify_group(
     if order >= 3:
         is_complete = report.size == order * (order - 1) // 2
         checks.append(
-            CheckResult(
-                "not_complete",
-                False,
-                is_complete,
-                passed=not is_complete,
-                detail=None if not is_complete else "not_complete: graph is complete",
+            _holds(
+                "not_complete", False, is_complete, not is_complete, "graph is complete"
             )
         )
         is_cycle = oracle_is_cycle_graph(graph)
         checks.append(
-            CheckResult(
-                "not_a_cycle",
-                False,
-                is_cycle,
-                passed=not is_cycle,
-                detail=None if not is_cycle else "not_a_cycle: graph is a cycle",
-            )
+            _holds("not_a_cycle", False, is_cycle, not is_cycle, "graph is a cycle")
         )
 
     info: dict[str, Any] = {}

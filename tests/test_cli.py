@@ -1,6 +1,7 @@
 """CLI: spec grammar, output formats, exit codes."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -92,6 +93,16 @@ def test_girth_text(capsys):
     assert capsys.readouterr().out == "3\n"
     assert main(["girth", "U24"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_size_past_the_factorization_ceiling_fails_fast(capsys):
+    start = time.perf_counter()
+    assert main(["size", "Z1000000000000000003"]) == 2
+    assert time.perf_counter() - start < 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot factor 1000000000000000003")
+    assert "Traceback" not in captured.err
 
 
 # --- degrees --------------------------------------------------------------------

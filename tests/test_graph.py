@@ -1,5 +1,6 @@
 """Explicit graph construction and the brute-force invariant oracle."""
 
+import functools
 from collections import deque
 
 import pytest
@@ -74,6 +75,12 @@ def test_oracle_girth_known_graphs():
     assert oracle_girth(star_graph(7)) == 0
     # five-cycle with one chord has a triangle
     assert oracle_girth(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])) == 3
+    # Wagner graph (8-cycle plus its long diagonals): every BFS layer that
+    # closes a 4-cycle also holds an edge closing a 5-cycle
+    wagner = graph_from_edges(
+        8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
+    )
+    assert oracle_girth(wagner) == 4
     # two four-cycles sharing one vertex
     assert (
         oracle_girth(
@@ -168,6 +175,72 @@ def test_eccentricities_match_naive_bfs(n, data):
     edges.extend((u, v) for u, v in extra if u != v)
     graph = graph_from_edges(n, edges)
     assert eccentricities(graph) == naive_eccentricities(graph)
+
+
+@st.composite
+def small_graphs(draw) -> ODGraph:
+    """Random graphs on up to 9 vertices, possibly disconnected.
+
+    A base graph on up to 7 vertices, bipartite half the time so that its
+    shortest cycle, if any, is even and at least 4, plus up to two twins
+    that copy a base vertex's neighbors (twins share no edge).
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    bipartite = draw(st.booleans())
+    pairs = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not bipartite or (u + v) % 2
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    neighbors = [{w for e in edges if v in e for w in e} - {v} for v in range(n)]
+    originals = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2))
+    for twin, original in enumerate(originals, start=n):
+        edges += [(twin, w) for w in neighbors[original]]
+    return graph_from_edges(n + len(originals), edges)
+
+
+def naive_girth(graph: ODGraph) -> int:
+    """Shortest cycle through each edge (u, v): the shortest u-v path
+    without that edge, plus one; 0 when no edge lies on a cycle."""
+    lengths = []
+    for u, v in graph.edges():
+        dist = {u: 0}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            for w in graph.adjacency[x]:
+                if {x, w} != {u, v} and w not in dist:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        if v in dist:
+            lengths.append(dist[v] + 1)
+    return min(lengths, default=0)
+
+
+@functools.lru_cache(maxsize=None)
+def colorings(n: int) -> list[tuple[int, ...]]:
+    """Every coloring of n vertices up to renaming the colors: vertex v takes
+    at most one more than the largest color among vertices 0..v-1."""
+    out = [()]
+    for _ in range(n):
+        out = [c + (b,) for c in out for b in range(max(c, default=-1) + 2)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_oracles_match_naive_on_random_graphs(graph):
+    assert oracle_girth(graph) == naive_girth(graph)
+    edges = graph.edges()
+    color_counts = [
+        max(c, default=-1) + 1
+        for c in colorings(graph.vertex_count)
+        if all(c[u] != c[v] for u, v in edges)
+    ]
+    assert oracle_is_bipartite(graph) == (min(color_counts) <= 2)
+    assert oracle_chromatic_number(graph) == min(color_counts)
 
 
 # --- explicit order-divisor graphs -----------------------------------------

@@ -106,6 +106,29 @@ def test_factorize_recomposes():
         assert product == n
 
 
+def test_factorize_up_to_the_trial_division_ceiling():
+    # every n below 10**14 factors, including the square of the largest
+    # prime below the 10**7 divisor limit and a prime just under 10**14
+    assert factorize(9999991**2) == ((9999991, 2),)
+    assert factorize(99999999999973) == ((99999999999973, 1),)
+    assert factorize(1000003 * 1000033) == ((1000003, 1), (1000033, 1))
+    # past 10**14 a number still factors when its large cofactor is prime
+    assert factorize(2**70) == ((2, 70),)
+    assert factorize(2**5 * 99999999999973) == ((2, 5), (99999999999973, 1))
+
+
+@pytest.mark.parametrize(
+    "n,cofactor",
+    [
+        (10000019**2, 10000019**2),  # square of the first prime past 10**7
+        (6 * 10000019 * 10000079, 10000019 * 10000079),
+    ],
+)
+def test_factorize_refuses_past_the_ceiling(n, cofactor):
+    with pytest.raises(DomainError, match=f"cofactor {cofactor} "):
+        factorize(n)
+
+
 def test_primality_small_values():
     assert not is_prime(1) and not is_composite(1)
     assert is_prime(2) and not is_composite(2)
