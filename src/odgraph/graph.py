@@ -5,14 +5,24 @@ distinct vertices are adjacent exactly when their element orders differ
 and one order divides the other. Everything in this module is computed
 directly on the explicit graph (breadth-first layers, backtracking search),
 so it can serve as an independent oracle for the closed-form results
-elsewhere in the package. The chromatic number is exact backtracking on the
-quotient by twins (vertices with identical neighbor sets); verification
-reports it as information only, not as a check.
+elsewhere in the package.
+
+Adjacency depends only on element orders, so every vertex of one order has
+the same neighbors and no two of them are adjacent. ``build_graph`` builds
+one sorted neighbor tuple per order class and every vertex of that class
+points to it, so memory grows with vertices times order classes, not with
+edges. Vertices with identical neighbor sets (twins) are interchangeable
+for distances and colorings: eccentricities and the chromatic number run
+on the twin quotient, the subgraph induced by one representative per set
+of twins, read from the explicit adjacency. The chromatic number is exact
+backtracking; verification reports it as information only, not as a check.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -47,7 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ODGraph:
-    """Immutable simple graph over group elements, annotated with orders."""
+    """Immutable simple graph over group elements, annotated with orders.
+
+    ``adjacency[v]`` is the tuple of v's neighbors in ascending order.
+    """
 
     spec: Optional[GroupSpec]
     orders: tuple[int, ...]
@@ -68,33 +81,33 @@ class ODGraph:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [
             (u, v)
-            for u in range(len(self.adjacency))
-            for v in self.adjacency[u]
-            if u < v
+            for u, neighbors in enumerate(self.adjacency)
+            for v in neighbors[bisect_right(neighbors, u) :]
         ]
 
 
 def build_graph(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> ODGraph:
-    """Construct the explicit order-divisor graph of a group."""
+    """Construct the explicit order-divisor graph of a group.
+
+    All vertices of one order share a single immutable neighbor tuple: the
+    vertices of every other order that divides or is divided by theirs.
+    """
     orders = element_orders(spec, bound)
     classes: dict[int, list[int]] = {}
     for v, order in enumerate(orders):
         classes.setdefault(order, []).append(v)
-    adjacency: list[list[int]] = [[] for _ in orders]
-    distinct = sorted(classes)
-    # adjacency depends only on element orders, so edges run between whole
-    # order classes: every pair of classes whose orders divide one another
-    for i, low in enumerate(distinct):
-        for high in distinct[i + 1 :]:
-            if high % low == 0:
-                for u in classes[low]:
-                    for v in classes[high]:
-                        adjacency[u].append(v)
-                        adjacency[v].append(u)
+    neighbors: dict[int, tuple[int, ...]] = {}
+    for m in classes:
+        comparable = (
+            members
+            for k, members in classes.items()
+            if k != m and (k % m == 0 or m % k == 0)
+        )
+        neighbors[m] = tuple(sorted(itertools.chain.from_iterable(comparable)))
     return ODGraph(
         spec=spec,
-        orders=tuple(orders),
-        adjacency=tuple(tuple(sorted(neighbors)) for neighbors in adjacency),
+        orders=orders,
+        adjacency=tuple(neighbors[order] for order in orders),
     )
 
 
@@ -142,11 +155,18 @@ def _twin_groups(graph: ODGraph) -> tuple[list[int], list[int]]:
     Such vertices are never adjacent and are interchangeable for distances,
     shortest cycles and colorings, so one representative each suffices.
     Returns the list of representatives and a vertex -> representative table.
+    A tuple shared by several vertices (one per order class, from
+    build_graph) is hashed once, keyed by identity, rather than per vertex.
     """
     reps_by_signature: dict[tuple[int, ...], int] = {}
+    rep_by_identity: dict[int, int] = {}
     rep_of = [0] * graph.vertex_count
-    for v in range(graph.vertex_count):
-        rep_of[v] = reps_by_signature.setdefault(graph.adjacency[v], v)
+    for v, neighbors in enumerate(graph.adjacency):
+        rep = rep_by_identity.get(id(neighbors))
+        if rep is None:
+            rep = reps_by_signature.setdefault(neighbors, v)
+            rep_by_identity[id(neighbors)] = rep
+        rep_of[v] = rep
     return sorted(reps_by_signature.values()), rep_of
 
 
@@ -168,16 +188,46 @@ def _bfs_levels(graph: ODGraph, root: int) -> Iterator[set[int]]:
         frontier = next_frontier
 
 
-def eccentricities(graph: ODGraph) -> list[int]:
-    """BFS eccentricity of every vertex; raises on disconnected graphs."""
+def _twin_quotient(graph: ODGraph) -> tuple[ODGraph, list[int]]:
+    """The subgraph H induced by the twin representatives.
+
+    Vertex i of H is the i-th representative; its edges are read from the
+    explicit adjacency. Returns H and a vertex -> H vertex table.
+    """
     reps, rep_of = _twin_groups(graph)
-    ecc_of_rep = {}
-    for rep in reps:
-        sizes = [len(layer) for layer in _bfs_levels(graph, rep)]
-        if sum(sizes) != graph.vertex_count:
+    index = {rep: i for i, rep in enumerate(reps)}
+    quotient = ODGraph(
+        spec=None,
+        orders=tuple(graph.orders[rep] for rep in reps),
+        adjacency=tuple(
+            tuple(index[w] for w in graph.adjacency[rep] if w in index)
+            for rep in reps
+        ),
+    )
+    return quotient, [index[rep] for rep in rep_of]
+
+
+def eccentricities(graph: ODGraph) -> list[int]:
+    """BFS eccentricity of every vertex; raises on disconnected graphs.
+
+    Twins are never adjacent and share their neighbors, so distances between
+    representatives are the same in the twin quotient H as in the graph, and
+    a vertex with a twin is at distance 2 from it. The BFS runs on H: a
+    representative's eccentricity is its eccentricity in H, at least 2 when
+    it has a twin, and the graph is connected when H is and no vertex of a
+    graph with more than one vertex is isolated.
+    """
+    quotient, class_of = _twin_quotient(graph)
+    class_sizes = Counter(class_of)
+    ecc_of_class = []
+    for i in range(quotient.vertex_count):
+        sizes = [len(layer) for layer in _bfs_levels(quotient, i)]
+        if sum(sizes) != quotient.vertex_count or (
+            len(sizes) == 1 and graph.vertex_count > 1
+        ):
             raise DomainError("graph is disconnected; eccentricities are undefined")
-        ecc_of_rep[rep] = len(sizes) - 1
-    return [ecc_of_rep[rep_of[v]] for v in range(graph.vertex_count)]
+        ecc_of_class.append(max(len(sizes) - 1, 2 if class_sizes[i] > 1 else 0))
+    return [ecc_of_class[c] for c in class_of]
 
 
 def oracle_girth(graph: ODGraph) -> int:
@@ -259,7 +309,9 @@ def oracle_is_cycle_graph(graph: ODGraph) -> bool:
     return graph.edge_count == n and sum(map(len, _bfs_levels(graph, 0))) == n
 
 
-def _k_colorable(adjacency: list[set[int]], order: list[int], k: int) -> bool:
+def _k_colorable(
+    adjacency: tuple[tuple[int, ...], ...], order: list[int], k: int
+) -> bool:
     n = len(order)
     colors: dict[int, int] = {}
 
@@ -290,10 +342,8 @@ def oracle_chromatic_number(
     """
     if graph.vertex_count > max_vertices:
         return None
-    reps, _ = _twin_groups(graph)
-    index = {rep: i for i, rep in enumerate(reps)}
-    adjacency = [{index[w] for w in graph.adjacency[r] if w in index} for r in reps]
-    order = sorted(range(len(reps)), key=lambda v: -len(adjacency[v]))
+    adjacency = _twin_quotient(graph)[0].adjacency
+    order = sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v]))
     return next(k for k in itertools.count() if _k_colorable(adjacency, order, k))
 
 

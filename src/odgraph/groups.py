@@ -155,8 +155,11 @@ class Units:
         return [x for x in range(1, self.n) if math.gcd(x, self.n) == 1]
 
     def element_orders(self) -> tuple[int, ...]:
+        # every order divides phi(n), so phi(n) and its primes are shared
+        phi = self.order()
+        primes = [p for p, _ in numtheory.factorize(phi)]
         return tuple(
-            numtheory.multiplicative_order(x, self.n) for x in self._residues()
+            numtheory._reduce_order(x, self.n, phi, primes) for x in self._residues()
         )
 
     def labels(self) -> tuple[str, ...]:

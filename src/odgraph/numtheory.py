@@ -111,7 +111,16 @@ def multiplicative_order(x: int, n: int) -> int:
     if n == 1:
         return 1
     t = euler_phi(n)
-    for p, _ in factorize(t):
+    return _reduce_order(x, n, t, [p for p, _ in factorize(t)])
+
+
+def _reduce_order(x: int, n: int, t: int, primes: list[int]) -> int:
+    """Order of x modulo n, given x**t == 1 (mod n) and the primes of t.
+
+    Divides t by each prime while x**(t/p) is still 1, which leaves the
+    least such exponent; callers that share n compute t and primes once.
+    """
+    for p in primes:
         while t % p == 0 and pow(x, t // p, n) == 1:
             t //= p
     return t

@@ -1,7 +1,11 @@
 """CLI: spec grammar, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -345,3 +349,13 @@ def test_help_and_missing_command(capsys):
     assert main(["--help"]) == 0
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "odgraph", "size", "Z6"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "11\n", "")

@@ -1,7 +1,9 @@
 """Explicit graph construction and the brute-force invariant oracle."""
 
 import functools
+import tracemalloc
 from collections import deque
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,7 +142,8 @@ def test_eccentricities_known_graphs():
         eccentricities(graph_from_edges(2, []))
 
 
-def naive_eccentricities(graph: ODGraph) -> list[int]:
+def naive_eccentricities(graph: ODGraph) -> Optional[list[int]]:
+    """Eccentricities by one BFS per vertex; None when disconnected."""
     out = []
     for start in range(graph.vertex_count):
         dist = {start: 0}
@@ -151,7 +154,8 @@ def naive_eccentricities(graph: ODGraph) -> list[int]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        assert len(dist) == graph.vertex_count
+        if len(dist) != graph.vertex_count:
+            return None
         out.append(max(dist.values()))
     return out
 
@@ -241,6 +245,12 @@ def test_oracles_match_naive_on_random_graphs(graph):
     ]
     assert oracle_is_bipartite(graph) == (min(color_counts) <= 2)
     assert oracle_chromatic_number(graph) == min(color_counts)
+    expected = naive_eccentricities(graph)
+    if expected is None:
+        with pytest.raises(DomainError):
+            eccentricities(graph)
+    else:
+        assert eccentricities(graph) == expected
 
 
 # --- explicit order-divisor graphs -----------------------------------------
@@ -278,7 +288,17 @@ def test_build_graph_respects_bound():
 
 
 def test_adjacency_rule_brute_force():
-    specs = [Cyclic(12), Dihedral(6), Units(15), direct_product(Cyclic(2), Cyclic(9))]
+    specs = [
+        Cyclic(12),
+        Cyclic(60),
+        Dihedral(6),
+        Dihedral(12),
+        Units(15),
+        Units(21),
+        direct_product(Cyclic(2), Cyclic(9)),
+        direct_product(Cyclic(4), Cyclic(6)),
+        direct_product(Cyclic(2), Dihedral(3)),
+    ]
     for spec in specs:
         graph = build_graph(spec)
         orders = element_orders(spec)
@@ -294,6 +314,19 @@ def test_adjacency_rule_brute_force():
                 assert (u in neighbor_sets[v]) == expected
         # identity is adjacent to every other vertex
         assert len(neighbor_sets[0]) == n - 1
+
+
+def test_build_graph_memory_grows_with_vertices_not_edges():
+    # 1.3e8 edges; one neighbor tuple per order class keeps the build small
+    spec = Cyclic(20000)
+    tracemalloc.start()
+    try:
+        graph = build_graph(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count == size_via_profile(order_profile(spec))
+    assert peak < 64 * 2**20
 
 
 def test_oracle_report_z8():
