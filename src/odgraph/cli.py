@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from . import formulas
 from .errors import (
@@ -34,14 +35,8 @@ from .errors import (
     SpecConstraintError,
     SpecSyntaxError,
 )
-from .graph import (
-    DEFAULT_CHROMATIC_BOUND,
-    build_graph,
-    class_degrees,
-    degree_via_profile,
-    oracle_report,
-    size_via_profile,
-)
+from .formulas import degree_via_profile, size_via_profile
+from .graph import DEFAULT_CHROMATIC_BOUND, build_graph, class_degrees, oracle_report
 from .groups import (
     DEFAULT_ENUMERATION_BOUND,
     Cyclic,
@@ -54,12 +49,20 @@ from .groups import (
     group_order,
     order_profile,
 )
-from .verify import family_formulas, sweep
+from .verify import SWEEP_FAMILIES, family_formulas, sweep
 
 __all__ = ["main", "parse_spec"]
 
 _DIGITS = "0123456789"
 _FAMILY_LETTERS = {"Z": Cyclic, "D": Dihedral, "U": Units}
+
+
+def _decimal(digits: str) -> int:
+    """int() of ASCII digits; past Python's digit limit, a DomainError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DomainError(f"number too long: {len(digits)} digits") from None
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -99,9 +102,8 @@ def parse_spec(text: str) -> GroupSpec:
                 i += 1
             if start == i:
                 raise SpecSyntaxError("expected a decimal number", byte_offset(i))
-            value = int(text[start:i])
             try:
-                atoms.append(_FAMILY_LETTERS[family](value))
+                atoms.append(_FAMILY_LETTERS[family](_decimal(text[start:i])))
             except DomainError as exc:
                 raise SpecConstraintError(str(exc)) from exc
             expect_atom = False
@@ -132,6 +134,14 @@ def _json_payload(data: Any) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _csv_payload(header: list[str], rows: Iterable[list]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def _aligned_table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -155,21 +165,19 @@ def _degree_rows(spec: GroupSpec, args) -> list[dict[str, Any]]:
         oracle_degrees, _ = class_degrees(build_graph(spec, args.enum_bound))
     # looked up on the module per call, so a patched formula takes effect
     closed_forms = family_formulas(spec, formulas)
-    rows = []
-    for m in profile:
-        if closed_forms is None:
-            formula_value = degree_via_profile(profile, m)
-        else:
-            formula_value = closed_forms[0](m)
-        rows.append(
-            {
-                "order": m,
-                "count": profile[m],
-                "degree_formula": formula_value,
-                "degree_oracle": None if oracle_degrees is None else oracle_degrees[m],
-            }
-        )
-    return rows
+    if closed_forms is None:
+        degree = functools.partial(degree_via_profile, profile)
+    else:
+        degree = closed_forms[0]
+    return [
+        {
+            "order": m,
+            "count": count,
+            "degree_formula": degree(m),
+            "degree_oracle": None if oracle_degrees is None else oracle_degrees[m],
+        }
+        for m, count in profile.items()
+    ]
 
 
 def _cmd_degrees(args) -> int:
@@ -177,37 +185,18 @@ def _cmd_degrees(args) -> int:
     text = format_spec(spec)
     rows = _degree_rows(spec, args)
     if args.format == "json":
-        payload = _json_payload(
-            {"group": text, "order": group_order(spec), "rows": rows}
-        )
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["order", "count", "degree_formula", "degree_oracle"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["order"],
-                    row["count"],
-                    row["degree_formula"],
-                    "" if row["degree_oracle"] is None else row["degree_oracle"],
-                ]
-            )
-        payload = buffer.getvalue()
+        payload = _json_payload({"group": text, "order": group_order(spec), "rows": rows})
     else:
-        table_rows = [
-            [
-                str(row["order"]),
-                str(row["count"]),
-                str(row["degree_formula"]),
-                "-" if row["degree_oracle"] is None else str(row["degree_oracle"]),
-            ]
-            for row in rows
-        ]
-        header = f"group={text} order={group_order(spec)}\n"
-        payload = header + _aligned_table(
-            ["order", "count", "formula", "oracle"], table_rows
-        )
+        # a missing oracle value is an empty csv field and a "-" in the table
+        cells = [["" if v is None else str(v) for v in row.values()] for row in rows]
+        if args.format == "csv":
+            header = ["order", "count", "degree_formula", "degree_oracle"]
+            payload = _csv_payload(header, cells)
+        else:
+            payload = f"group={text} order={group_order(spec)}\n" + _aligned_table(
+                ["order", "count", "formula", "oracle"],
+                [[cell or "-" for cell in row] for row in cells],
+            )
     _emit(payload, args.out)
     return 0
 
@@ -224,10 +213,7 @@ def _scalar_command(args, spec: GroupSpec, name: str, value: int) -> int:
 def _cmd_size(args) -> int:
     spec = parse_spec(args.spec)
     closed_forms = family_formulas(spec, formulas)
-    if closed_forms is None:
-        value = size_via_profile(order_profile(spec))
-    else:
-        value = closed_forms[1]()
+    value = closed_forms[1]() if closed_forms else size_via_profile(order_profile(spec))
     return _scalar_command(args, spec, "size", value)
 
 
@@ -305,24 +291,22 @@ def _cmd_export(args) -> int:
             }
         )
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["source", "target", "source_label", "target_label"])
-        for u, v in graph.edges():
-            writer.writerow([u, v, labels[u], labels[v]])
-        payload = buffer.getvalue()
+        payload = _csv_payload(
+            ["source", "target", "source_label", "target_label"],
+            ([u, v, labels[u], labels[v]] for u, v in graph.edges()),
+        )
     _emit(payload, args.out)
     return 0
 
 
-_RANGE_PATTERN = re.compile(r"^(\d+)\.\.(\d+)$")
+_RANGE_PATTERN = re.compile(r"([0-9]+)\.\.([0-9]+)")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    match = _RANGE_PATTERN.match(text)
+    match = _RANGE_PATTERN.fullmatch(text)
     if match is None:
         raise DomainError(f"range must look like LO..HI, got {text!r}")
-    return int(match.group(1)), int(match.group(2))
+    return _decimal(match.group(1)), _decimal(match.group(2))
 
 
 def _cmd_verify(args) -> int:
@@ -355,14 +339,67 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--enum-bound",
-        type=non_negative_int,
-        default=DEFAULT_ENUMERATION_BOUND,
-        help="largest group order to enumerate explicitly",
-    )
-    parser.add_argument("--out", default=None, help="write output to a file")
+def _format(*choices: str) -> tuple[str, dict[str, Any]]:
+    """The --format option; the first choice is the default."""
+    return "--format", {"choices": choices, "default": choices[0]}
+
+
+_SPEC = ("spec", {})
+_TEXT_OR_JSON = _format("text", "json")
+_CHROMATIC_BOUND = {"type": non_negative_int, "default": DEFAULT_CHROMATIC_BOUND}
+_COLORING_HELP = "largest vertex count for exact coloring in json invariants"
+_ORACLE_HELP = "fail instead of omitting the oracle column past the bound"
+# only the commands that build the explicit graph take it
+_ENUM_BOUND = (
+    "--enum-bound",
+    {
+        "type": non_negative_int,
+        "default": DEFAULT_ENUMERATION_BOUND,
+        "help": "largest group order to enumerate explicitly",
+    },
+)
+
+# name, help, handler, and the arguments in order; every command also
+# takes --out
+_COMMANDS = (
+    (
+        "degrees",
+        "per-order degree table",
+        _cmd_degrees,
+        [
+            ("spec", {"help": "group spec, e.g. Z6 or Z2xZ3"}),
+            _format("text", "csv", "json"),
+            ("--oracle", {"action": "store_true", "help": _ORACLE_HELP}),
+            _ENUM_BOUND,
+        ],
+    ),
+    ("size", "edge count", _cmd_size, [_SPEC, _TEXT_OR_JSON]),
+    ("girth", "girth (0 = acyclic)", _cmd_girth, [_SPEC, _TEXT_OR_JSON]),
+    ("classify", "star/bipartite/path flags", _cmd_classify, [_SPEC, _TEXT_OR_JSON]),
+    (
+        "export",
+        "write the explicit graph",
+        _cmd_export,
+        [
+            _SPEC,
+            _format("dot", "json", "csv"),
+            ("--chromatic-bound", {**_CHROMATIC_BOUND, "help": _COLORING_HELP}),
+            _ENUM_BOUND,
+        ],
+    ),
+    (
+        "verify",
+        "formula-vs-oracle sweep",
+        _cmd_verify,
+        [
+            ("family", {"choices": SWEEP_FAMILIES}),
+            ("range", {"help": "inclusive parameter range, e.g. 1..200"}),
+            _TEXT_OR_JSON,
+            ("--chromatic-bound", _CHROMATIC_BOUND),
+            _ENUM_BOUND,
+        ],
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,58 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Order-divisor graphs of finite groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    degrees = sub.add_parser("degrees", help="per-order degree table")
-    degrees.add_argument("spec", help="group spec, e.g. Z6 or Z2xZ3")
-    degrees.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    degrees.add_argument(
-        "--oracle",
-        action="store_true",
-        help="fail instead of omitting the oracle column past the bound",
-    )
-    _add_common(degrees)
-    degrees.set_defaults(handler=_cmd_degrees)
-
-    size = sub.add_parser("size", help="edge count")
-    size.add_argument("spec")
-    size.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(size)
-    size.set_defaults(handler=_cmd_size)
-
-    girth = sub.add_parser("girth", help="girth (0 = acyclic)")
-    girth.add_argument("spec")
-    girth.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(girth)
-    girth.set_defaults(handler=_cmd_girth)
-
-    classify = sub.add_parser("classify", help="star/bipartite/path flags")
-    classify.add_argument("spec")
-    classify.add_argument("--format", choices=("text", "json"), default="text")
-    _add_common(classify)
-    classify.set_defaults(handler=_cmd_classify)
-
-    export = sub.add_parser("export", help="write the explicit graph")
-    export.add_argument("spec")
-    export.add_argument("--format", choices=("dot", "json", "csv"), default="dot")
-    export.add_argument(
-        "--chromatic-bound",
-        type=non_negative_int,
-        default=DEFAULT_CHROMATIC_BOUND,
-        help="largest vertex count for exact coloring in json invariants",
-    )
-    _add_common(export)
-    export.set_defaults(handler=_cmd_export)
-
-    verify = sub.add_parser("verify", help="formula-vs-oracle sweep")
-    verify.add_argument("family", choices=("cyclic", "dihedral", "units", "product"))
-    verify.add_argument("range", help="inclusive parameter range, e.g. 1..200")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument(
-        "--chromatic-bound", type=non_negative_int, default=DEFAULT_CHROMATIC_BOUND
-    )
-    _add_common(verify)
-    verify.set_defaults(handler=_cmd_verify)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for argument, settings in arguments:
+            command.add_argument(argument, **settings)
+        command.add_argument("--out", default=None, help="write output to a file")
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -27,12 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import DomainError
-from .groups import (
-    DEFAULT_ENUMERATION_BOUND,
-    GroupSpec,
-    OrderProfile,
-    element_orders,
-)
+from .groups import DEFAULT_ENUMERATION_BOUND, GroupSpec, element_orders
 
 DEFAULT_CHROMATIC_BOUND = 64
 
@@ -42,7 +37,6 @@ __all__ = [
     "ODGraph",
     "build_graph",
     "class_degrees",
-    "degree_via_profile",
     "eccentricities",
     "oracle_chromatic_number",
     "oracle_girth",
@@ -51,7 +45,6 @@ __all__ = [
     "oracle_is_path",
     "oracle_is_star",
     "oracle_report",
-    "size_via_profile",
 ]
 
 
@@ -109,27 +102,6 @@ def build_graph(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> ODGr
         orders=orders,
         adjacency=tuple(neighbors[order] for order in orders),
     )
-
-
-def degree_via_profile(profile: OrderProfile, m: int) -> int:
-    """Degree of any order-m vertex, computed from the order profile alone."""
-    if m not in profile:
-        raise DomainError(f"order {m} is not realized in the profile")
-    return sum(
-        count
-        for order, count in profile.items()
-        if order != m and (order % m == 0 or m % order == 0)
-    )
-
-
-def size_via_profile(profile: OrderProfile) -> int:
-    """Edge count from the profile, by summing degrees over order classes."""
-    total = sum(
-        count * degree_via_profile(profile, order) for order, count in profile.items()
-    )
-    if total % 2:
-        raise DomainError("degree sum is odd; not a valid order profile")
-    return total // 2
 
 
 def class_degrees(graph: ODGraph) -> tuple[dict[int, int], Optional[str]]:

@@ -258,7 +258,7 @@ class OrderProfile(Mapping):
     order divides the group order (the sum of the multiplicities).
     """
 
-    __slots__ = ("_entries", "_group_order")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[int, int]):
         items = {int(order): int(count) for order, count in entries.items()}
@@ -273,14 +273,6 @@ class OrderProfile(Mapping):
                     f"order {order} does not divide the group order {total}"
                 )
         self._entries = dict(sorted(items.items()))
-        self._group_order = total
-
-    @property
-    def group_order(self) -> int:
-        return self._group_order
-
-    def multiplicity(self, order: int) -> int:
-        return self._entries.get(order, 0)
 
     def __getitem__(self, order: int) -> int:
         return self._entries[order]
@@ -290,16 +282,6 @@ class OrderProfile(Mapping):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, OrderProfile):
-            return self._entries == other._entries
-        if isinstance(other, Mapping):
-            return self._entries == dict(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._entries.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{order}: {count}" for order, count in self._entries.items())

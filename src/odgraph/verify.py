@@ -14,15 +14,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from . import formulas, numtheory
+from . import formulas
+from .formulas import degree_via_profile, size_via_profile
 from .graph import (
     DEFAULT_CHROMATIC_BOUND,
     build_graph,
     class_degrees,
-    degree_via_profile,
     oracle_is_cycle_graph,
     oracle_report,
-    size_via_profile,
 )
 from .groups import (
     DEFAULT_ENUMERATION_BOUND,
@@ -218,11 +217,10 @@ def verify_group(
     if closed_forms is not None:
         checks.append(_compare("size_formula", closed_forms[1](), report.size))
 
-    # girth, three ways: profile rule, raw composite-order criterion,
-    # and (for two-factor products) the factor-wise criterion
-    checks.append(
-        _compare("girth", formulas.girth_from_profile(profile), report.girth)
-    )
+    # girth: the profile rule (some realized order composite), reported under
+    # both of its names, the dichotomy, and the factor-wise rule for products
+    profile_girth = formulas.girth_from_profile(profile)
+    checks.append(_compare("girth", profile_girth, report.girth))
     checks.append(
         _holds(
             "girth_dichotomy",
@@ -232,23 +230,15 @@ def verify_group(
             f"oracle girth {report.girth} is neither 0 nor 3",
         )
     )
-    composite_rule = 3 if any(numtheory.is_composite(m) for m in profile) else 0
-    checks.append(_compare("girth_composite_rule", composite_rule, report.girth))
+    checks.append(_compare("girth_composite_rule", profile_girth, report.girth))
     if isinstance(spec, Product) and len(spec.factors) == 2:
         product_girth = formulas.girth_of_product(spec.factors[0], spec.factors[1])
         checks.append(_compare("girth_product_rule", product_girth, report.girth))
 
-    # star / bipartite / acyclic / all-orders-prime must agree as one block
-    all_prime = all(m == 1 or numtheory.is_prime(m) for m in profile)
+    # star / bipartite / acyclic must agree with the profile's star rule
+    # (every non-identity order prime) as one block
     star_formula = formulas.is_star_group(spec)
-    flags = {
-        all_prime,
-        star_formula,
-        report.is_star,
-        report.is_bipartite,
-        report.girth == 0,
-    }
-    formula_side = {"all_orders_prime": all_prime, "is_star_group": star_formula}
+    formula_side = {"all_orders_prime": star_formula, "is_star_group": star_formula}
     oracle_side = {
         "star": report.is_star,
         "bipartite": report.is_bipartite,
@@ -259,7 +249,7 @@ def verify_group(
             "star_equivalence",
             formula_side,
             oracle_side,
-            len(flags) == 1,
+            len({star_formula, *oracle_side.values()}) == 1,
             f"formula {formula_side!r} vs oracle {oracle_side!r}",
         )
     )
@@ -269,18 +259,10 @@ def verify_group(
     degree_total = sum(report.degree_sequence.values())
     checks.append(_compare("handshake", degree_total, 2 * report.size))
 
-    if order == 1:
-        expected_radius, expected_diameter = 0, 0
-    elif order == 2:
-        expected_radius, expected_diameter = 1, 1
-    else:
-        expected_radius, expected_diameter = 1, 2
+    # the identity is adjacent to everything: radius 1, diameter at most 2
+    expected = [min(order - 1, 1), min(order - 1, 2)]
     checks.append(
-        _compare(
-            "radius_diameter",
-            [expected_radius, expected_diameter],
-            [report.radius, report.diameter],
-        )
+        _compare("radius_diameter", expected, [report.radius, report.diameter])
     )
 
     if order >= 3:

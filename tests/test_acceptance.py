@@ -15,6 +15,7 @@ from odgraph.formulas import (
     deg_dn,
     deg_zn,
     degree_sum_zn_prime_power,
+    degree_via_profile,
     dn_realized_orders,
     girth_from_profile,
     girth_of_product,
@@ -22,20 +23,19 @@ from odgraph.formulas import (
     is_star_group,
     order_sum_prime_power,
     size_dn,
+    size_via_profile,
     size_zn,
     size_zn_prime_power,
 )
 from odgraph.graph import (
     build_graph,
     class_degrees,
-    degree_via_profile,
     eccentricities,
     oracle_chromatic_number,
     oracle_girth,
     oracle_is_cycle_graph,
     oracle_is_path,
     oracle_is_star,
-    size_via_profile,
 )
 from odgraph.groups import (
     Cyclic,

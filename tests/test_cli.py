@@ -308,7 +308,7 @@ def test_verify_usage_errors(capsys):
         ["verify", "cyclic", "1..3", "--enum-bound", "-5"],
         ["export", "Z6", "--format", "json", "--chromatic-bound", "-1"],
         ["verify", "cyclic", "1..3", "--chromatic-bound", "-1"],
-        ["size", "Z6", "--enum-bound", "-1"],
+        ["degrees", "Z6", "--enum-bound", "-1"],
     ],
 )
 def test_negative_bounds_are_usage_errors(argv, capsys):
@@ -316,6 +316,37 @@ def test_negative_bounds_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("command", ["size", "girth", "classify"])
+def test_formula_commands_take_no_enum_bound(command, capsys):
+    # they never build the explicit graph, so the bound is not theirs to take
+    assert main([command, "Z6", "--enum-bound", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --enum-bound" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["size", "Z" + "9" * 5000], ["verify", "cyclic", "1.." + "9" * 5000]],
+    ids=["spec", "range"],
+)
+def test_overlong_numbers_are_usage_errors(argv, capsys):
+    # past Python's 4300-digit limit on int() of a string
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: number too long: 5000 digits")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("span", ["\u0661..\u0663", "1..3\n", "1..3 ", "+1..3"])
+def test_verify_range_takes_only_ascii_digits(span, capsys):
+    assert main(["verify", "cyclic", span]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "range must look like LO..HI" in captured.err
 
 
 def test_unknown_family_rejected_by_argparse(capsys):

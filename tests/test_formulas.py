@@ -190,6 +190,10 @@ def test_deg_dn_rejects_unrealized_orders():
         deg_dn(4, 8)
     with pytest.raises(DomainError):
         deg_dn(2, 2)
+    # zero, negative, twice n, and an even order that does not divide n
+    for n, m in [(5, 0), (6, 0), (5, -2), (6, -2), (5, 10), (6, 12), (10, 4)]:
+        with pytest.raises(DomainError):
+            deg_dn(n, m)
 
 
 def test_deg_dn_matches_oracle():

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odgraph.errors import DomainError, EnumerationBoundError
+from odgraph.formulas import degree_via_profile, size_via_profile
 from odgraph.graph import (
     ODGraph,
     build_graph,
     class_degrees,
-    degree_via_profile,
     eccentricities,
     oracle_chromatic_number,
     oracle_girth,
@@ -22,7 +22,6 @@ from odgraph.graph import (
     oracle_is_path,
     oracle_is_star,
     oracle_report,
-    size_via_profile,
 )
 from odgraph.groups import (
     Cyclic,
