@@ -226,8 +226,8 @@ def _cmd_classify(args) -> int:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
     profile = order_profile(spec)
-    star = formulas.is_star_group(spec)
-    bipartite = formulas.is_bipartite_group(spec)
+    # bipartite exactly when a star (see formulas.is_bipartite_group)
+    star = bipartite = formulas.is_star_profile(profile)
     path = formulas.is_path_group(spec)
     if args.format == "json":
         payload = _json_payload(

@@ -2,7 +2,9 @@
 
 This is the formula route: it reads order profiles and closed forms, never
 the explicit graph. All vertices of one order share a degree, so every edge
-count (Z_n, D_n, any profile) is half the class-weighted degree sum.
+count (Z_n, D_n, any profile) is half the class-weighted degree sum. A Z_n
+or D_n degree is a product over the factorization of n (see ``_deg_zn``),
+so it costs O(omega(n)), and a size O(d(n) * omega(n)).
 
 Every function here mirrors an exact integer identity. Divisions are
 checked: a nonzero remainder can only mean the implementation is wrong,
@@ -12,6 +14,7 @@ so it raises ArithmeticError rather than returning a rounded value.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable, Iterable, Mapping
 
 from . import numtheory
@@ -31,13 +34,13 @@ __all__ = [
     "deg_zn_prime_power",
     "degree_sum_zn_prime_power",
     "degree_via_profile",
-    "dn_realized_orders",
     "girth_from_profile",
     "girth_of_group",
     "girth_of_product",
     "is_bipartite_group",
     "is_path_group",
     "is_star_group",
+    "is_star_profile",
     "order_sum_prime_power",
     "size_dn",
     "size_via_profile",
@@ -68,13 +71,17 @@ def _require_prime_power(p: int, k: int) -> None:
         raise DomainError(f"need k >= 1, got {k}")
 
 
-def _upper_phi_sum(n: int, m: int) -> int:
-    """Sum of phi(lam * m) over all divisors lam of n // m (requires m | n)."""
-    return sum(numtheory.euler_phi(lam * m) for lam in numtheory.divisors(n // m))
-
-
 def _deg_zn(n: int, m: int) -> int:
-    return m - 2 * numtheory.euler_phi(m) + _upper_phi_sum(n, m)
+    """Neighbours of an order-m vertex of Z_n: the m elements whose order
+    divides m and those whose order m divides, less the phi(m) of order m
+    in each. Over p**e || n with p**a || m, both counts are products:
+    phi(m) of p**a - p**(a-1), the multiples of p**e - p**(a-1)."""
+    phi = upper = 1
+    for p, e in numtheory.factorize(n):
+        g = math.gcd(m, p**e)  # p**a, as m divides n; g // p is 0 if a = 0
+        phi *= g - g // p
+        upper *= p**e - g // p
+    return m - 2 * phi + upper
 
 
 def deg_zn(n: int, m: int) -> int:
@@ -108,8 +115,6 @@ def order_sum_prime_power(p: int, k: int) -> int:
 
 def size_zn(n: int) -> int:
     """Edge count of the order-divisor graph of Z_n."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
     return _half_degree_sum(Cyclic(n).profile(), functools.partial(_deg_zn, n))
 
 
@@ -119,23 +124,13 @@ def size_zn_prime_power(p: int, k: int) -> int:
     return _exact_div(p ** (2 * k) - 1, p + 1)
 
 
-def dn_realized_orders(n: int) -> tuple[int, ...]:
-    """Element orders realized in the dihedral group of order 2n."""
-    if n < 3:
-        raise DomainError(f"dihedral group requires n >= 3, got {n}")
-    return tuple(sorted({2, *numtheory.divisors(n)}))
-
-
 def _deg_dn(n: int, m: int) -> int:
-    if m == 1:
-        return 2 * n - 1
-    if m == 2:
+    if m == 2 and n % 2:
         # odd n: the order-2 class is exactly the n reflections
-        if n % 2:
-            return 1
-        return sum(numtheory.euler_phi(2 * lam) for lam in numtheory.divisors(n // 2))
-    # m > 2: the n reflections also sit below every even-order rotation
-    return _deg_zn(n, m) + (0 if m % 2 else n)
+        return 1
+    # the rotations form Z_n; the n reflections, of order 2, are adjacent
+    # to the identity and to every rotation of even order above 2
+    return _deg_zn(n, m) + (n if m == 1 or (m > 2 and m % 2 == 0) else 0)
 
 
 def deg_dn(n: int, m: int) -> int:
@@ -151,8 +146,6 @@ def deg_dn(n: int, m: int) -> int:
 
 def size_dn(n: int) -> int:
     """Edge count of the order-divisor graph of the dihedral group D_n."""
-    if n < 3:
-        raise DomainError(f"dihedral group requires n >= 3, got {n}")
     return _half_degree_sum(Dihedral(n).profile(), functools.partial(_deg_dn, n))
 
 
@@ -172,17 +165,18 @@ def size_via_profile(profile: OrderProfile) -> int:
     return _half_degree_sum(profile, functools.partial(degree_via_profile, profile))
 
 
-def _has_composite(orders: Iterable[int]) -> bool:
-    """The girth and star rule. A composite order m forces a triangle: the
-    identity, an element of order m and one of prime order p | m. With every
-    order prime, no two non-identity orders divide one another: a star."""
-    return any(numtheory.is_composite(m) for m in orders)
+def is_star_profile(orders: Iterable[int]) -> bool:
+    """The star and girth rule: True when no realized order is composite.
+    A composite order m forces a triangle: the identity, an element of
+    order m and one of prime order p | m. With every order prime, no two
+    non-identity orders divide one another: a star."""
+    return not any(numtheory.is_composite(m) for m in orders)
 
 
 def girth_from_profile(profile: OrderProfile) -> int:
-    """Girth (0 = acyclic) decided from the order profile alone: 3 when
-    some realized order is composite, else 0 (see ``_has_composite``)."""
-    return 3 if _has_composite(profile) else 0
+    """Girth (0 = acyclic) decided from the order profile alone: 0 for a
+    star, else 3 (see ``is_star_profile``)."""
+    return 0 if is_star_profile(profile) else 3
 
 
 def girth_of_group(spec: GroupSpec) -> int:
@@ -198,7 +192,7 @@ def girth_of_product(left: GroupSpec, right: GroupSpec) -> int:
     """
     left_profile = order_profile(left)
     right_profile = order_profile(right)
-    if _has_composite(left_profile) or _has_composite(right_profile):
+    if not (is_star_profile(left_profile) and is_star_profile(right_profile)):
         return 3
     # no composite order: every non-identity order is prime
     left_primes = set(left_profile) - {1}
@@ -210,7 +204,7 @@ def girth_of_product(left: GroupSpec, right: GroupSpec) -> int:
 
 def is_star_group(spec: GroupSpec) -> bool:
     """True when every non-identity element order is prime."""
-    return not _has_composite(order_profile(spec))
+    return is_star_profile(order_profile(spec))
 
 
 def is_bipartite_group(spec: GroupSpec) -> bool:

@@ -40,6 +40,7 @@ __all__ = [
     "CheckResult",
     "DEFAULT_SUITE",
     "FormulaSuite",
+    "MAX_SWEEP_INSTANCES",
     "SWEEP_FAMILIES",
     "SweepReport",
     "VerificationResult",
@@ -237,7 +238,7 @@ def verify_group(
 
     # star / bipartite / acyclic must agree with the profile's star rule
     # (every non-identity order prime) as one block
-    star_formula = formulas.is_star_group(spec)
+    star_formula = formulas.is_star_profile(profile)
     formula_side = {"all_orders_prime": star_formula, "is_star_group": star_formula}
     oracle_side = {
         "star": report.is_star,
@@ -295,6 +296,10 @@ _SWEEP_ATOMS = {"cyclic": Cyclic, "dihedral": Dihedral, "units": Units, "product
 
 SWEEP_FAMILIES = tuple(_SWEEP_ATOMS)
 
+# most instances one sweep verifies (hi - lo + 1, squared for ``product``);
+# a longer range is refused before any spec is built
+MAX_SWEEP_INSTANCES = 100_000
+
 
 def _sweep_specs(family: str, lo: int, hi: int) -> list[GroupSpec]:
     if family not in SWEEP_FAMILIES:
@@ -303,6 +308,8 @@ def _sweep_specs(family: str, lo: int, hi: int) -> list[GroupSpec]:
         )
     if lo > hi:
         raise DomainError(f"empty range {lo}..{hi}")
+    if (hi - lo + 1) ** (2 if family == "product" else 1) > MAX_SWEEP_INSTANCES:
+        raise DomainError(f"{family} {lo}..{hi} exceeds {MAX_SWEEP_INSTANCES} instances")
     # the constructors reject parameters below the family minimum
     atoms = [_SWEEP_ATOMS[family](n) for n in range(lo, hi + 1)]
     if family == "product":

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from odgraph import numtheory
 from odgraph.cli import main, parse_spec
 from odgraph.errors import SpecConstraintError, SpecSyntaxError
 from odgraph.groups import Cyclic, Dihedral, Product, Units, format_spec
@@ -109,6 +110,16 @@ def test_size_past_the_factorization_ceiling_fails_fast(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_size_at_a_divisor_rich_order_is_fast(capsys):
+    # 6720 divisors; with cold caches the closed form takes well under 2 s
+    numtheory.factorize.cache_clear()
+    numtheory.divisors.cache_clear()
+    start = time.perf_counter()
+    assert main(["size", "Z963761198400"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "208072653369291087560313\n"
+
+
 # --- degrees --------------------------------------------------------------------
 
 
@@ -203,6 +214,20 @@ def test_classify_json(capsys):
     }
 
 
+def test_classify_builds_the_profile_once(monkeypatch, capsys):
+    calls = []
+    profile = Product.profile
+
+    def counted(self):
+        calls.append(self)
+        return profile(self)
+
+    monkeypatch.setattr(Product, "profile", counted)
+    assert main(["classify", "Z2xZ3xZ5"]) == 0
+    assert len(calls) == 1
+    assert "star=false" in capsys.readouterr().out.splitlines()
+
+
 # --- export ---------------------------------------------------------------------
 
 
@@ -293,6 +318,20 @@ def test_verify_json(capsys):
     assert data["pass"] is True
     assert data["passed"] == 8 and data["failed"] == 0
     assert all(instance["pass"] for instance in data["instances"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "cyclic", "1000000..40000000"], ["verify", "product", "1..1000"]]
+)
+def test_verify_past_the_instance_cap_fails_fast(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "instances" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_usage_errors(capsys):

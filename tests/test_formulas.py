@@ -8,13 +8,13 @@ from odgraph.formulas import (
     deg_zn,
     deg_zn_prime_power,
     degree_sum_zn_prime_power,
-    dn_realized_orders,
     girth_from_profile,
     girth_of_group,
     girth_of_product,
     is_bipartite_group,
     is_path_group,
     is_star_group,
+    is_star_profile,
     order_sum_prime_power,
     size_dn,
     size_zn,
@@ -40,6 +40,11 @@ def prime_power_cases(limit: int = 2000):
         while p**k <= limit:
             yield p, k
             k += 1
+
+
+def dn_orders(n):
+    """Element orders realized in the dihedral group of order 2n."""
+    return sorted(Dihedral(n).profile())
 
 
 # --- cyclic degrees ---------------------------------------------------------
@@ -162,13 +167,50 @@ def test_size_zn_prime_power():
         assert size_zn_prime_power(p, k) == size_zn(p**k)
 
 
+# --- the closed forms against the divisor-lattice sums they replace ----------
+
+
+def upper_phi_sum(n, m):
+    """Sum of phi(lam * m) over the divisors lam of n // m: the elements of
+    Z_n whose order is a multiple of m, summed class by class."""
+    return sum(euler_phi(lam * m) for lam in divisors(n // m))
+
+
+def lattice_deg_dn(n, m):
+    """The dihedral degree as a case split over the same sums."""
+    if m == 1:
+        return 2 * n - 1
+    if m == 2:
+        return 1 if n % 2 else upper_phi_sum(n, 2)
+    return m - 2 * euler_phi(m) + upper_phi_sum(n, m) + (0 if m % 2 else n)
+
+
+def test_deg_zn_matches_divisor_lattice_sum():
+    for n in range(1, 3000):
+        for m in divisors(n):
+            assert deg_zn(n, m) == m - 2 * euler_phi(m) + upper_phi_sum(n, m)
+
+
+def test_deg_dn_matches_divisor_lattice_case_split():
+    for n in range(3, 1000):
+        for m in dn_orders(n):
+            assert deg_dn(n, m) == lattice_deg_dn(n, m), (n, m)
+
+
+def test_sizes_at_a_divisor_rich_order():
+    # 963761198400 = 2^6 3^4 5^2 7 11 13 17 19 23 has 6720 divisors; both
+    # values were computed with the divisor-lattice sums
+    assert size_zn(963761198400) == 208072653369291087560313
+    assert size_dn(963761198400) == 1122395243917860810080313
+
+
 # --- dihedral degrees and sizes ----------------------------------------------
 
 
 def test_dn_realized_orders():
-    assert dn_realized_orders(5) == (1, 2, 5)
-    assert dn_realized_orders(4) == (1, 2, 4)
-    assert dn_realized_orders(6) == (1, 2, 3, 6)
+    assert dn_orders(5) == [1, 2, 5]
+    assert dn_orders(4) == [1, 2, 4]
+    assert dn_orders(6) == [1, 2, 3, 6]
 
 
 def test_deg_dn_values():
@@ -201,7 +243,7 @@ def test_deg_dn_matches_oracle():
         graph = build_graph(Dihedral(n))
         degrees, problem = class_degrees(graph)
         assert problem is None
-        for m in dn_realized_orders(n):
+        for m in dn_orders(n):
             assert deg_dn(n, m) == degrees[m]
 
 
@@ -294,6 +336,8 @@ def test_star_and_path_classification():
     assert is_star_group(Units(24))
     assert not is_star_group(Units(16))
     assert is_bipartite_group(Dihedral(7)) == is_star_group(Dihedral(7))
+    assert is_star_profile(order_profile(Units(24)))
+    assert not is_star_profile(order_profile(Units(16)))
     assert is_path_group(Cyclic(2))
     assert is_path_group(Cyclic(3))
     assert not is_path_group(Cyclic(1))

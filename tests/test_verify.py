@@ -2,15 +2,17 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from odgraph.errors import DomainError
-from odgraph.formulas import _upper_phi_sum
+from odgraph.formulas import deg_zn
 from odgraph.groups import Cyclic, Dihedral, Units, direct_product
 from odgraph.numtheory import euler_phi
 from odgraph.verify import (
     DEFAULT_SUITE,
+    MAX_SWEEP_INSTANCES,
     FormulaSuite,
     _sweep_specs,
     sweep,
@@ -131,6 +133,17 @@ def test_sweep_spec_validation():
         _sweep_specs("dihedral", 1, 5)
 
 
+def test_sweep_instance_cap_is_exact():
+    # hi - lo + 1 instances, squared for products; the cap is inclusive
+    assert len(_sweep_specs("cyclic", 1, MAX_SWEEP_INSTANCES)) == MAX_SWEEP_INSTANCES
+    with pytest.raises(DomainError, match="instances"):
+        _sweep_specs("cyclic", 1, MAX_SWEEP_INSTANCES + 1)
+    side = math.isqrt(MAX_SWEEP_INSTANCES)
+    assert len(_sweep_specs("product", 1, side)) == side**2
+    with pytest.raises(DomainError, match="instances"):
+        _sweep_specs("product", 1, side + 1)
+
+
 def test_sweep_serialization_is_deterministic():
     first = json.dumps(sweep("cyclic", 1, 30).to_dict(), sort_keys=True)
     second = json.dumps(sweep("cyclic", 1, 30).to_dict(), sort_keys=True)
@@ -143,9 +156,7 @@ def test_sweep_serialization_is_deterministic():
 
 def perturbed_deg_zn(n, m):
     # drops one euler_phi(m) term: off by +euler_phi(m) for every class
-    if m < 1 or n % m:
-        raise DomainError(f"{m} does not divide {n}")
-    return m - euler_phi(m) + _upper_phi_sum(n, m)
+    return deg_zn(n, m) + euler_phi(m)
 
 
 def test_fault_injection_is_detected():
