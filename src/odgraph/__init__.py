@@ -6,127 +6,25 @@ differ and one order divides the other. This package builds the graphs
 explicitly for cyclic, dihedral, unit, and direct-product groups,
 evaluates closed-form invariants without building anything, and verifies
 that the two routes agree.
+
+Every name in a module's ``__all__`` is importable from the package; the
+module's ``__all__`` is the one place a name is made public.
 """
 
-from .errors import (
-    DomainError,
-    EnumerationBoundError,
-    SpecConstraintError,
-    SpecSyntaxError,
-)
-from .groups import (
-    DEFAULT_ENUMERATION_BOUND,
-    Cyclic,
-    Dihedral,
-    GroupSpec,
-    OrderProfile,
-    Product,
-    Units,
-    direct_product,
-    element_labels,
-    element_orders,
-    format_spec,
-    group_order,
-    order_profile,
-)
-from .graph import (
-    DEFAULT_CHROMATIC_BOUND,
-    InvariantReport,
-    ODGraph,
-    build_graph,
-    eccentricities,
-    oracle_chromatic_number,
-    oracle_girth,
-    oracle_is_bipartite,
-    oracle_is_cycle_graph,
-    oracle_is_path,
-    oracle_is_star,
-    oracle_report,
-)
-from .formulas import (
-    deg_dn,
-    deg_zn,
-    deg_zn_prime_power,
-    degree_sum_zn_prime_power,
-    degree_via_profile,
-    girth_from_profile,
-    girth_of_group,
-    girth_of_product,
-    is_bipartite_group,
-    is_path_group,
-    is_star_group,
-    order_sum_prime_power,
-    size_dn,
-    size_via_profile,
-    size_zn,
-    size_zn_prime_power,
-)
-from .verify import (
-    DEFAULT_SUITE,
-    CheckResult,
-    FormulaSuite,
-    SweepReport,
-    VerificationResult,
-    sweep,
-    verify_group,
-)
-from .cli import main, parse_spec
+from .errors import *
+from .groups import *
+from .graph import *
+from .formulas import *
+from .verify import *
+from .cli import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cyclic",
-    "CheckResult",
-    "DEFAULT_CHROMATIC_BOUND",
-    "DEFAULT_ENUMERATION_BOUND",
-    "DEFAULT_SUITE",
-    "Dihedral",
-    "DomainError",
-    "EnumerationBoundError",
-    "FormulaSuite",
-    "GroupSpec",
-    "InvariantReport",
-    "ODGraph",
-    "OrderProfile",
-    "Product",
-    "SpecConstraintError",
-    "SpecSyntaxError",
-    "SweepReport",
-    "Units",
-    "VerificationResult",
-    "build_graph",
-    "deg_dn",
-    "deg_zn",
-    "deg_zn_prime_power",
-    "degree_sum_zn_prime_power",
-    "degree_via_profile",
-    "direct_product",
-    "eccentricities",
-    "element_labels",
-    "element_orders",
-    "format_spec",
-    "girth_from_profile",
-    "girth_of_group",
-    "girth_of_product",
-    "group_order",
-    "is_bipartite_group",
-    "is_path_group",
-    "is_star_group",
-    "main",
-    "oracle_chromatic_number",
-    "oracle_girth",
-    "oracle_is_bipartite",
-    "oracle_is_cycle_graph",
-    "oracle_is_path",
-    "oracle_is_star",
-    "oracle_report",
-    "order_profile",
-    "order_sum_prime_power",
-    "parse_spec",
-    "size_dn",
-    "size_via_profile",
-    "size_zn",
-    "size_zn_prime_power",
-    "sweep",
-    "verify_group",
-]
+__all__ = (
+    errors.__all__
+    + groups.__all__
+    + graph.__all__
+    + formulas.__all__
+    + verify.__all__
+    + cli.__all__
+)

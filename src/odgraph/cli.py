@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import re
@@ -166,14 +165,14 @@ def _degree_rows(spec: GroupSpec, args) -> list[dict[str, Any]]:
     # looked up on the module per call, so a patched formula takes effect
     closed_forms = family_formulas(spec, formulas)
     if closed_forms is None:
-        degree = functools.partial(degree_via_profile, profile)
+        degrees = degree_via_profile(profile)
     else:
-        degree = closed_forms[0]
+        degrees = {m: closed_forms[0](m) for m in profile}
     return [
         {
             "order": m,
             "count": count,
-            "degree_formula": degree(m),
+            "degree_formula": degrees[m],
             "degree_oracle": None if oracle_degrees is None else oracle_degrees[m],
         }
         for m, count in profile.items()

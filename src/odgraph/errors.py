@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "EnumerationBoundError",
+    "SpecConstraintError",
+    "SpecSyntaxError",
+]
+
 
 class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain."""

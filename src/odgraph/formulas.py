@@ -4,7 +4,8 @@ This is the formula route: it reads order profiles and closed forms, never
 the explicit graph. All vertices of one order share a degree, so every edge
 count (Z_n, D_n, any profile) is half the class-weighted degree sum. A Z_n
 or D_n degree is a product over the factorization of n (see ``_deg_zn``),
-so it costs O(omega(n)), and a size O(d(n) * omega(n)).
+so it costs O(omega(n)), and a size O(d(n) * omega(n)). Any profile's
+degree table costs O(classes * omega) (see ``degree_via_profile``).
 
 Every function here mirrors an exact integer identity. Divisions are
 checked: a nonzero remainder can only mean the implementation is wrong,
@@ -149,20 +150,41 @@ def size_dn(n: int) -> int:
     return _half_degree_sum(Dihedral(n).profile(), functools.partial(_deg_dn, n))
 
 
-def degree_via_profile(profile: OrderProfile, m: int) -> int:
-    """Degree of any order-m vertex, computed from the order profile alone."""
-    if m not in profile:
-        raise DomainError(f"order {m} is not realized in the profile")
-    return sum(
-        count
-        for order, count in profile.items()
-        if order != m and (order % m == 0 or m % order == 0)
-    )
+def degree_via_profile(profile: OrderProfile) -> dict[int, int]:
+    """Degree of every order class, ``{order: degree}``, from the profile alone.
+
+    An order-m vertex is adjacent to the elements whose order divides m
+    (down[m]) or is a multiple of m (up[m]), less its own class. Both sums
+    are zeta transforms over the realized orders, one ascending and one
+    descending pass per prime, so the table costs O(classes * omega).
+    Realized orders are closed under divisors, so the primes are the orders
+    that no smaller prime divides, and no order is factorized. A profile
+    not closed under divisors raises DomainError, unless only primality
+    would show it ({1, 4} looks like {1, 2}); the table then still counts
+    the pairs of orders where one divides the other.
+    """
+    orders = sorted(profile)
+    primes: list[int] = []
+    for m in orders:
+        if m > 1 and all(m % p for p in primes):
+            if any(math.gcd(m, p) > 1 for p in primes):
+                raise DomainError(f"order {m} has an unrealized proper divisor")
+            primes.append(m)
+    down, up = dict(profile), dict(profile)
+    for p in primes:
+        multiples = [m for m in orders if m % p == 0]
+        for m in multiples:
+            if m // p not in down:
+                raise DomainError(f"order {m} is realized but not {m // p}")
+            down[m] += down[m // p]
+        for m in reversed(multiples):
+            up[m // p] += up[m]
+    return {m: down[m] + up[m] - 2 * count for m, count in profile.items()}
 
 
 def size_via_profile(profile: OrderProfile) -> int:
-    """Edge count from the profile, by summing degrees over order classes."""
-    return _half_degree_sum(profile, functools.partial(degree_via_profile, profile))
+    """Edge count from the profile: half the class-weighted degree sum."""
+    return _half_degree_sum(profile, degree_via_profile(profile).__getitem__)
 
 
 def is_star_profile(orders: Iterable[int]) -> bool:

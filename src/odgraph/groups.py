@@ -85,7 +85,15 @@ class Cyclic:
         return self.n
 
     def profile(self) -> dict[int, int]:
-        return {d: numtheory.euler_phi(d) for d in numtheory.divisors(self.n)}
+        # phi(d) from the primes of n, so no divisor is factorized again
+        primes = [p for p, _ in numtheory.factorize(self.n)]
+        profile = {}
+        for d in numtheory.divisors(self.n):
+            profile[d] = d
+            for p in primes:
+                if d % p == 0:
+                    profile[d] -= profile[d] // p
+        return profile
 
     def element_orders(self) -> tuple[int, ...]:
         n = self.n

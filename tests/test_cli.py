@@ -120,6 +120,26 @@ def test_size_at_a_divisor_rich_order_is_fast(capsys):
     assert capsys.readouterr().out == "208072653369291087560313\n"
 
 
+def test_size_of_a_product_of_sixteen_primes_is_fast(capsys):
+    # 65536 order classes on the profile route; the group is cyclic, so the
+    # Z_n closed form must give the same number
+    numtheory.factorize.cache_clear()
+    numtheory.divisors.cache_clear()
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    start = time.perf_counter()
+    assert main(["size", "x".join(f"Z{p}" for p in primes)]) == 0
+    assert time.perf_counter() - start < 20
+    product_size = capsys.readouterr().out
+    assert main(["size", "Z32589158477190044730"]) == 0
+    assert capsys.readouterr().out == product_size
+
+
+def test_size_of_two_large_primes_factorizes_no_order(capsys):
+    # the order (about 10**28) is past the factorization ceiling
+    assert main(["size", "Z99999999999973xZ99999999999971"]) == 0
+    assert capsys.readouterr().out == "1999999999998270000000000498799999999952062\n"
+
+
 # --- degrees --------------------------------------------------------------------
 
 

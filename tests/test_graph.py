@@ -349,17 +349,46 @@ def test_chromatic_of_z6_measured():
     assert oracle_chromatic_number(build_graph(Cyclic(6))) == 3
 
 
+def scan_degrees(profile) -> dict[int, int]:
+    """The O(classes**2) pairwise scan that degree_via_profile replaced,
+    kept as its reference: every other class whose order divides or is a
+    multiple of m."""
+    return {
+        m: sum(
+            count
+            for order, count in profile.items()
+            if order != m and (order % m == 0 or m % order == 0)
+        )
+        for m in profile
+    }
+
+
 def test_degree_via_profile():
-    profile = order_profile(Cyclic(6))
-    assert degree_via_profile(profile, 1) == 5
-    assert degree_via_profile(profile, 2) == 3
-    assert degree_via_profile(profile, 3) == 3
-    assert degree_via_profile(profile, 6) == 4
-    with pytest.raises(DomainError):
-        degree_via_profile(profile, 4)
-    d4 = order_profile(Dihedral(4))
-    assert degree_via_profile(d4, 2) == 3
-    assert degree_via_profile(d4, 1) == 7
+    assert degree_via_profile(order_profile(Cyclic(6))) == {1: 5, 2: 3, 3: 3, 6: 4}
+    assert degree_via_profile(order_profile(Dihedral(4))) == {1: 7, 2: 3, 4: 6}
+    # no identity; 3 | 6 missing; 4 and 6 share the missing 2
+    for not_closed in ({2: 1}, {1: 1, 2: 1, 6: 4}, {1: 1, 4: 1, 6: 1}):
+        with pytest.raises(DomainError):
+            degree_via_profile(not_closed)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.integers(1, 400), st.integers(1, 5), max_size=12))
+def test_degree_via_profile_matches_the_pairwise_scan(counts):
+    # closed under divisors, the table is the scan's
+    closed = {
+        d: counts.get(d, 1)
+        for m in [1, *counts]
+        for d in range(1, m + 1)
+        if m % d == 0
+    }
+    assert degree_via_profile(closed) == scan_degrees(closed)
+    # otherwise it is refused, or still the scan's ({1, 4} looks like {1, 2})
+    try:
+        table = degree_via_profile(counts)
+    except DomainError:
+        return
+    assert table == scan_degrees(counts)
 
 
 def test_size_via_profile():
@@ -381,7 +410,7 @@ def test_profile_routes_match_oracle_on_small_sweep():
         graph = build_graph(spec)
         degrees, problem = class_degrees(graph)
         assert problem is None
-        assert degrees == {m: degree_via_profile(profile, m) for m in profile}
+        assert degrees == degree_via_profile(profile) == scan_degrees(profile)
         assert size_via_profile(profile) == graph.edge_count
         # handshake on the explicit graph
         assert sum(graph.degree(v) for v in range(graph.vertex_count)) == 2 * graph.edge_count

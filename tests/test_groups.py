@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from odgraph import numtheory
 from odgraph.errors import DomainError, EnumerationBoundError
 from odgraph.groups import (
     Cyclic,
@@ -211,6 +212,13 @@ def test_cyclic_generator_count():
 
     for n in (1, 2, 7, 12, 100):
         assert order_profile(Cyclic(n)).get(n, 0) == euler_phi(n)
+
+
+def test_cyclic_profile_factorizes_only_n():
+    numtheory.factorize.cache_clear()
+    numtheory.divisors.cache_clear()
+    Cyclic(299999999999886).profile()  # 2 * 3 * 49999999999981
+    assert numtheory.factorize.cache_info().misses == 1
 
 
 def test_profile_matches_enumeration_cyclic():
