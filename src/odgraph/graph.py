@@ -11,15 +11,21 @@ Adjacency depends only on element orders, so every vertex of one order has
 the same neighbors and no two of them are adjacent. ``build_graph`` builds
 one sorted neighbor tuple per order class and every vertex of that class
 points to it, so memory grows with vertices times order classes, not with
-edges. Vertices with identical neighbor sets (twins) are interchangeable
-for distances and colorings: eccentricities and the chromatic number run
-on the twin quotient, the subgraph induced by one representative per set
-of twins, read from the explicit adjacency. The chromatic number is exact
-backtracking; verification reports it as information only, not as a check.
+edges. Vertices with identical neighbor sets (twins) are never adjacent
+and are interchangeable for distances and colorings, so every structural
+oracle runs on the twin quotient H (``ODGraph.twins``), the subgraph
+induced by one representative per set of twins, built at most once per
+graph from the explicit adjacency. A shortest cycle through two twins u,
+u' shortens to the 4-cycle u, a, u', b, so the girth is H's, or 4 if
+smaller and some twin set of size at least 2 has degree at least 2. All
+twins can take one color, so the graph is bipartite exactly when H is.
+The chromatic number is exact backtracking; verification reports it as
+information only, not as a check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_right
 from collections import Counter
@@ -67,9 +73,6 @@ class ODGraph:
     def edge_count(self) -> int:
         return sum(len(neighbors) for neighbors in self.adjacency) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [
@@ -77,6 +80,38 @@ class ODGraph:
             for u, neighbors in enumerate(self.adjacency)
             for v in neighbors[bisect_right(neighbors, u) :]
         ]
+
+    @functools.cached_property
+    def twins(self) -> tuple[ODGraph, tuple[int, ...]]:
+        """The twin quotient H, and the H vertex of every vertex.
+
+        H's vertices are the first vertex of each set of twins, in vertex
+        order; its edges are read from the explicit adjacency. A tuple
+        shared by several vertices (one per order class, from build_graph)
+        is hashed once, keyed by identity, rather than per vertex.
+        """
+        class_by_signature: dict[tuple[int, ...], int] = {}
+        class_by_identity: dict[int, int] = {}
+        reps: list[int] = []
+        class_of = []
+        for v, neighbors in enumerate(self.adjacency):
+            c = class_by_identity.get(id(neighbors))
+            if c is None:
+                c = class_by_signature.setdefault(neighbors, len(reps))
+                if c == len(reps):
+                    reps.append(v)
+                class_by_identity[id(neighbors)] = c
+            class_of.append(c)
+        index = {rep: i for i, rep in enumerate(reps)}
+        quotient = ODGraph(
+            spec=None,
+            orders=tuple(self.orders[rep] for rep in reps),
+            adjacency=tuple(
+                tuple(index[w] for w in self.adjacency[rep] if w in index)
+                for rep in reps
+            ),
+        )
+        return quotient, tuple(class_of)
 
 
 def build_graph(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> ODGraph:
@@ -121,27 +156,6 @@ def class_degrees(graph: ODGraph) -> tuple[dict[int, int], Optional[str]]:
     return degrees, None
 
 
-def _twin_groups(graph: ODGraph) -> tuple[list[int], list[int]]:
-    """Group vertices with identical neighbor sets.
-
-    Such vertices are never adjacent and are interchangeable for distances,
-    shortest cycles and colorings, so one representative each suffices.
-    Returns the list of representatives and a vertex -> representative table.
-    A tuple shared by several vertices (one per order class, from
-    build_graph) is hashed once, keyed by identity, rather than per vertex.
-    """
-    reps_by_signature: dict[tuple[int, ...], int] = {}
-    rep_by_identity: dict[int, int] = {}
-    rep_of = [0] * graph.vertex_count
-    for v, neighbors in enumerate(graph.adjacency):
-        rep = rep_by_identity.get(id(neighbors))
-        if rep is None:
-            rep = reps_by_signature.setdefault(neighbors, v)
-            rep_by_identity[id(neighbors)] = rep
-        rep_of[v] = rep
-    return sorted(reps_by_signature.values()), rep_of
-
-
 def _bfs_levels(graph: ODGraph, root: int) -> Iterator[set[int]]:
     """Breadth-first layers of root's component: {root}, its neighbors, ...
 
@@ -160,25 +174,6 @@ def _bfs_levels(graph: ODGraph, root: int) -> Iterator[set[int]]:
         frontier = next_frontier
 
 
-def _twin_quotient(graph: ODGraph) -> tuple[ODGraph, list[int]]:
-    """The subgraph H induced by the twin representatives.
-
-    Vertex i of H is the i-th representative; its edges are read from the
-    explicit adjacency. Returns H and a vertex -> H vertex table.
-    """
-    reps, rep_of = _twin_groups(graph)
-    index = {rep: i for i, rep in enumerate(reps)}
-    quotient = ODGraph(
-        spec=None,
-        orders=tuple(graph.orders[rep] for rep in reps),
-        adjacency=tuple(
-            tuple(index[w] for w in graph.adjacency[rep] if w in index)
-            for rep in reps
-        ),
-    )
-    return quotient, [index[rep] for rep in rep_of]
-
-
 def eccentricities(graph: ODGraph) -> list[int]:
     """BFS eccentricity of every vertex; raises on disconnected graphs.
 
@@ -189,7 +184,7 @@ def eccentricities(graph: ODGraph) -> list[int]:
     it has a twin, and the graph is connected when H is and no vertex of a
     graph with more than one vertex is isolated.
     """
-    quotient, class_of = _twin_quotient(graph)
+    quotient, class_of = graph.twins
     class_sizes = Counter(class_of)
     ecc_of_class = []
     for i in range(quotient.vertex_count):
@@ -205,17 +200,24 @@ def eccentricities(graph: ODGraph) -> list[int]:
 def oracle_girth(graph: ODGraph) -> int:
     """Length of a shortest cycle, 0 when the graph is acyclic.
 
-    BFS layers from every twin representative: a layer-i vertex with two
-    neighbors in layer i - 1 closes a cycle of length at most 2i, an edge
-    inside layer i one of at most 2i + 1, and both are exact from a root on
-    a shortest cycle. 3 is an early exit (no shorter cycle exists).
+    Runs on the twin quotient H, from 4 when a twin set of size at least 2
+    has degree (its neighboring twin sets' sizes added up) at least 2. BFS
+    layers from every vertex of H: a layer-i vertex with two neighbors in
+    layer i - 1 closes a cycle of length at most 2i, an edge inside layer i
+    one of at most 2i + 1, and both are exact from a root on a shortest
+    cycle. 3 is an early exit (no shorter cycle exists).
     """
-    adjacency = graph.adjacency
-    shortest = 0
-    roots, _ = _twin_groups(graph)
-    for root in roots:
+    quotient, class_of = graph.twins
+    adjacency = quotient.adjacency
+    class_sizes = Counter(class_of)
+    twin_square = any(
+        class_sizes[c] > 1 and sum(class_sizes[w] for w in neighbors) > 1
+        for c, neighbors in enumerate(adjacency)
+    )
+    shortest = 4 if twin_square else 0
+    for root in range(quotient.vertex_count):
         previous: set[int] = set()
-        for i, layer in enumerate(_bfs_levels(graph, root)):
+        for i, layer in enumerate(_bfs_levels(quotient, root)):
             if len(previous) > 1 and any(
                 len(previous.intersection(adjacency[v])) > 1 for v in layer
             ):
@@ -233,13 +235,16 @@ def oracle_girth(graph: ODGraph) -> int:
 
 
 def oracle_is_bipartite(graph: ODGraph) -> bool:
-    """No edge inside any BFS layer, over every component."""
+    """No edge inside any BFS layer, over every component of the twin
+    quotient H; all twins can take one color, so the graph is bipartite
+    exactly when H is."""
+    quotient = graph.twins[0]
     reached: set[int] = set()
-    for root in range(graph.vertex_count):
+    for root in range(quotient.vertex_count):
         if root in reached:
             continue
-        for layer in _bfs_levels(graph, root):
-            if any(not layer.isdisjoint(graph.adjacency[v]) for v in layer):
+        for layer in _bfs_levels(quotient, root):
+            if any(not layer.isdisjoint(quotient.adjacency[v]) for v in layer):
                 return False
             reached |= layer
     return True
@@ -314,7 +319,7 @@ def oracle_chromatic_number(
     """
     if graph.vertex_count > max_vertices:
         return None
-    adjacency = _twin_quotient(graph)[0].adjacency
+    adjacency = graph.twins[0].adjacency
     order = sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v]))
     return next(k for k in itertools.count() if _k_colorable(adjacency, order, k))
 
@@ -323,10 +328,8 @@ def oracle_chromatic_number(
 class InvariantReport:
     """Invariants measured directly on an explicit graph."""
 
-    group_order: int
     size: int
     girth: int
-    degree_sequence: dict[int, int]
     is_star: bool
     is_bipartite: bool
     is_path: bool
@@ -339,14 +342,10 @@ def oracle_report(
     graph: ODGraph, chromatic_bound: int = DEFAULT_CHROMATIC_BOUND
 ) -> InvariantReport:
     """Measure all supported invariants on the explicit graph."""
-    n = graph.vertex_count
-    degrees = {v: len(graph.adjacency[v]) for v in range(n)}
     ecc = eccentricities(graph)
     return InvariantReport(
-        group_order=n,
-        size=sum(degrees.values()) // 2,
+        size=graph.edge_count,
         girth=oracle_girth(graph),
-        degree_sequence=degrees,
         is_star=oracle_is_star(graph),
         is_bipartite=oracle_is_bipartite(graph),
         is_path=oracle_is_path(graph),

@@ -43,7 +43,6 @@ __all__ = [
     "OrderProfile",
     "Product",
     "Units",
-    "direct_product",
     "element_labels",
     "element_orders",
     "format_spec",
@@ -217,11 +216,6 @@ class Product:
 
 
 GroupSpec = Union[Cyclic, Dihedral, Units, Product]
-
-
-def direct_product(*factors: GroupSpec) -> Product:
-    """Convenience constructor: ``direct_product(Cyclic(2), Cyclic(3))``."""
-    return Product(tuple(factors))
 
 
 def format_spec(spec: GroupSpec) -> str:

@@ -1,5 +1,7 @@
 """CLI: spec grammar, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,13 +10,14 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odgraph import numtheory
 from odgraph.cli import main, parse_spec
 from odgraph.errors import SpecConstraintError, SpecSyntaxError
 from odgraph.groups import Cyclic, Dihedral, Product, Units, format_spec
+from odgraph.verify import SWEEP_FAMILIES
 
 
 # --- spec grammar -------------------------------------------------------------
@@ -411,6 +414,39 @@ def test_verify_range_takes_only_ascii_digits(span, capsys):
 def test_unknown_family_rejected_by_argparse(capsys):
     assert main(["verify", "quaternion", "1..5"]) == 2
     capsys.readouterr()
+
+
+@st.composite
+def short_argvs(draw) -> list[str]:
+    """Short argv for every command, valid or not; an --enum-bound of at
+    most 64 keeps the graph-building commands small."""
+    command = draw(
+        st.sampled_from(["size", "girth", "classify", "degrees", "export", "verify", "junk"])
+    )
+    if command == "verify":
+        argv = [
+            command,
+            draw(st.sampled_from([*SWEEP_FAMILIES, "junk"])),
+            draw(st.text("0123456789.x", max_size=5)),
+        ]
+    else:
+        argv = [command, draw(st.text("ZDUzdux0123456789 q", max_size=12))]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv", "dot", "junk"]))]
+    if command in ("degrees", "export", "verify"):
+        argv += ["--enum-bound", draw(st.sampled_from(["0", "64", "-1", "x"]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_argvs())
+def test_short_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 5
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- dispatch and io ------------------------------------------------------------

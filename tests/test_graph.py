@@ -1,6 +1,7 @@
 """Explicit graph construction and the brute-force invariant oracle."""
 
 import functools
+import itertools
 import tracemalloc
 from collections import deque
 from typing import Optional
@@ -26,8 +27,8 @@ from odgraph.graph import (
 from odgraph.groups import (
     Cyclic,
     Dihedral,
+    Product,
     Units,
-    direct_product,
     element_orders,
     group_order,
     order_profile,
@@ -63,6 +64,15 @@ def star_graph(n: int) -> ODGraph:
     return graph_from_edges(n, [(0, i) for i in range(1, n)])
 
 
+def complete_bipartite_graph(a: int, b: int) -> ODGraph:
+    return graph_from_edges(a + b, [(i, j) for i in range(a) for j in range(a, a + b)])
+
+
+def doubled_five_cycle() -> ODGraph:
+    """The 5-cycle with vertex 0 doubled: vertex 5 is its twin."""
+    return graph_from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, 1), (5, 4)])
+
+
 # --- oracle behavior on known synthetic graphs -----------------------------
 
 
@@ -74,6 +84,11 @@ def test_oracle_girth_known_graphs():
     assert oracle_girth(cycle_graph(6)) == 6
     assert oracle_girth(path_graph(4)) == 0
     assert oracle_girth(star_graph(7)) == 0
+    # twins close every 4-cycle of these; K2,3's twin quotient is one edge
+    assert oracle_girth(complete_bipartite_graph(2, 3)) == 4
+    assert oracle_girth(complete_bipartite_graph(3, 3)) == 4
+    # the quotient is the 5-cycle, but the doubled vertex closes a 4-cycle
+    assert oracle_girth(doubled_five_cycle()) == 4
     # five-cycle with one chord has a triangle
     assert oracle_girth(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])) == 3
     # Wagner graph (8-cycle plus its long diagonals): every BFS layer that
@@ -100,6 +115,11 @@ def test_oracle_bipartite_known_graphs():
     assert oracle_is_bipartite(path_graph(6))
     assert oracle_is_bipartite(star_graph(9))
     assert not oracle_is_bipartite(complete_graph(3))
+    assert oracle_is_bipartite(complete_bipartite_graph(2, 3))
+    assert oracle_is_bipartite(complete_bipartite_graph(3, 3))
+    assert not oracle_is_bipartite(doubled_five_cycle())
+    # the odd cycle lies outside the first component
+    assert not oracle_is_bipartite(graph_from_edges(4, [(1, 2), (2, 3), (3, 1)]))
 
 
 def test_oracle_star_path_cycle_recognizers():
@@ -185,8 +205,9 @@ def small_graphs(draw) -> ODGraph:
     """Random graphs on up to 9 vertices, possibly disconnected.
 
     A base graph on up to 7 vertices, bipartite half the time so that its
-    shortest cycle, if any, is even and at least 4, plus up to two twins
-    that copy a base vertex's neighbors (twins share no edge).
+    shortest cycle, if any, is even and at least 4, blown up: random base
+    vertices are copied, some of them several times, and every copy is a
+    twin of its original (twins share no edge).
     """
     n = draw(st.integers(min_value=1, max_value=7))
     bipartite = draw(st.booleans())
@@ -196,12 +217,17 @@ def small_graphs(draw) -> ODGraph:
         for v in range(u + 1, n)
         if not bipartite or (u + v) % 2
     ]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    neighbors = [{w for e in edges if v in e for w in e} - {v} for v in range(n)]
-    originals = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2))
-    for twin, original in enumerate(originals, start=n):
-        edges += [(twin, w) for w in neighbors[original]]
-    return graph_from_edges(n + len(originals), edges)
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    copies = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=9 - n))
+    originals = [*range(n), *copies]
+    return graph_from_edges(
+        len(originals),
+        [
+            (x, y)
+            for x, y in itertools.combinations(range(len(originals)), 2)
+            if tuple(sorted((originals[x], originals[y]))) in edges
+        ],
+    )
 
 
 def naive_girth(graph: ODGraph) -> int:
@@ -259,7 +285,7 @@ def test_build_graph_z6():
     graph = build_graph(Cyclic(6))
     assert graph.vertex_count == 6
     assert graph.edge_count == 11
-    assert {v: graph.degree(v) for v in range(6)} == {0: 5, 1: 4, 2: 3, 3: 3, 4: 3, 5: 4}
+    assert [len(neighbors) for neighbors in graph.adjacency] == [5, 4, 3, 3, 3, 4]
 
 
 def test_build_graph_degenerate():
@@ -277,8 +303,7 @@ def test_build_graph_d5():
     assert graph.edge_count == 9
     report = oracle_report(graph)
     assert report.is_star and report.is_bipartite and report.girth == 0
-    assert report.degree_sequence[0] == 9
-    assert all(report.degree_sequence[v] == 1 for v in range(1, 10))
+    assert [len(neighbors) for neighbors in graph.adjacency] == [9] + [1] * 9
 
 
 def test_build_graph_respects_bound():
@@ -294,9 +319,9 @@ def test_adjacency_rule_brute_force():
         Dihedral(12),
         Units(15),
         Units(21),
-        direct_product(Cyclic(2), Cyclic(9)),
-        direct_product(Cyclic(4), Cyclic(6)),
-        direct_product(Cyclic(2), Dihedral(3)),
+        Product((Cyclic(2), Cyclic(9))),
+        Product((Cyclic(4), Cyclic(6))),
+        Product((Cyclic(2), Dihedral(3))),
     ]
     for spec in specs:
         graph = build_graph(spec)
@@ -341,6 +366,24 @@ def test_oracle_report_z2():
     assert report.is_star and report.is_path
     assert (report.radius, report.diameter) == (1, 1)
     assert report.size == 1
+
+
+def test_oracle_report_builds_the_twin_quotient_once(monkeypatch):
+    builds = []
+    twins = ODGraph.twins
+
+    def counting(graph):
+        builds.append(graph)
+        return twins.func(graph)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(ODGraph, "twins")
+    monkeypatch.setattr(ODGraph, "twins", counted)
+    # within the chromatic bound, so every structural oracle asks for it
+    graph = build_graph(Cyclic(12))
+    report = oracle_report(graph)
+    assert report.chromatic_number is not None
+    assert len(builds) == 1
 
 
 def test_chromatic_of_z6_measured():
@@ -403,7 +446,7 @@ def test_profile_routes_match_oracle_on_small_sweep():
         [Cyclic(n) for n in range(1, 61)]
         + [Dihedral(n) for n in range(3, 31)]
         + [Units(n) for n in range(2, 41)]
-        + [direct_product(Cyclic(a), Cyclic(b)) for a in range(1, 7) for b in range(1, 7)]
+        + [Product((Cyclic(a), Cyclic(b))) for a in range(1, 7) for b in range(1, 7)]
     )
     for spec in specs:
         profile = order_profile(spec)
@@ -413,7 +456,7 @@ def test_profile_routes_match_oracle_on_small_sweep():
         assert degrees == degree_via_profile(profile) == scan_degrees(profile)
         assert size_via_profile(profile) == graph.edge_count
         # handshake on the explicit graph
-        assert sum(graph.degree(v) for v in range(graph.vertex_count)) == 2 * graph.edge_count
+        assert sum(map(len, graph.adjacency)) == 2 * graph.edge_count
 
 
 def test_radius_diameter_rule_samples():

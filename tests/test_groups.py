@@ -14,7 +14,6 @@ from odgraph.groups import (
     OrderProfile,
     Product,
     Units,
-    direct_product,
     element_labels,
     element_orders,
     format_spec,
@@ -77,8 +76,8 @@ def test_group_orders():
     assert group_order(Cyclic(1)) == 1
     assert group_order(Dihedral(4)) == 8
     assert group_order(Units(24)) == len(units_oracle(24)) == 8
-    assert group_order(direct_product(Cyclic(2), Cyclic(3))) == 6
-    assert group_order(direct_product(Cyclic(4), Units(5), Dihedral(3))) == 96
+    assert group_order(Product((Cyclic(2), Cyclic(3)))) == 6
+    assert group_order(Product((Cyclic(4), Units(5), Dihedral(3)))) == 96
 
 
 def test_constructor_bounds():
@@ -102,7 +101,7 @@ def test_format_spec():
     assert format_spec(Cyclic(6)) == "Z6"
     assert format_spec(Dihedral(4)) == "D4"
     assert format_spec(Units(24)) == "U24"
-    assert format_spec(direct_product(Cyclic(2), Cyclic(3))) == "Z2xZ3"
+    assert format_spec(Product((Cyclic(2), Cyclic(3)))) == "Z2xZ3"
 
 
 def test_constructors_reject_non_ints():
@@ -120,12 +119,12 @@ def test_product_rejects_non_specs():
     with pytest.raises(DomainError):
         Product((Cyclic(2), 3))
     with pytest.raises(DomainError):
-        direct_product(Cyclic(2), "Z3")
+        Product((Cyclic(2), "Z3"))
 
 
 def test_element_index_bounds():
     # canonical indices run over 0..order-1, one per element
-    for spec in [Cyclic(6), Dihedral(5), Units(20), direct_product(Cyclic(2), Units(9))]:
+    for spec in [Cyclic(6), Dihedral(5), Units(20), Product((Cyclic(2), Units(9)))]:
         labels = element_labels(spec)
         assert len(element_orders(spec)) == len(labels) == group_order(spec)
         assert len(set(labels)) == len(labels)
@@ -147,7 +146,7 @@ def test_units_element_orders():
 
 
 def test_product_element_order_against_oracle():
-    spec = direct_product(Cyclic(2), Cyclic(3))
+    spec = Product((Cyclic(2), Cyclic(3)))
     orders = element_orders(spec)
     assert orders[4] == 6  # mixed radix: components (1, 1)
     assert product_order_oracle([2, 3], [1, 1]) == 6
@@ -161,8 +160,8 @@ def test_element_orders_match_brute_force():
         Cyclic(12),
         Dihedral(6),
         Units(20),
-        direct_product(Cyclic(4), Cyclic(6)),
-        direct_product(Cyclic(2), Dihedral(3), Units(5)),
+        Product((Cyclic(4), Cyclic(6))),
+        Product((Cyclic(2), Dihedral(3), Units(5))),
     ]
     for spec in specs:
         fast = element_orders(spec)
@@ -176,7 +175,7 @@ def test_enumerate_elements():
         element_orders(Cyclic(10), bound=5)
     with pytest.raises(EnumerationBoundError):
         element_labels(Cyclic(10), bound=5)
-    big = direct_product(Cyclic(400), Cyclic(300))
+    big = Product((Cyclic(400), Cyclic(300)))
     with pytest.raises(EnumerationBoundError):
         element_orders(big, bound=100_000)
     # the profile is a closed form, so the bound does not apply to it
@@ -189,7 +188,7 @@ def test_order_profile_examples():
     assert order_profile(Dihedral(5)) == {1: 1, 2: 5, 5: 4}
     assert order_profile(Units(8)) == {1: 1, 2: 3}
     assert order_profile(Cyclic(1)) == {1: 1}
-    assert order_profile(direct_product(Cyclic(2), Cyclic(2))) == {1: 1, 2: 3}
+    assert order_profile(Product((Cyclic(2), Cyclic(2)))) == {1: 1, 2: 3}
 
 
 def test_order_profile_group_order_and_lagrange():
@@ -197,7 +196,7 @@ def test_order_profile_group_order_and_lagrange():
         Cyclic(360),
         Dihedral(24),
         Units(100),
-        direct_product(Cyclic(6), Cyclic(10)),
+        Product((Cyclic(6), Cyclic(10))),
     ]
     for spec in specs:
         profile = order_profile(spec)
@@ -245,11 +244,11 @@ def test_profile_matches_enumeration_units():
 
 def test_profile_matches_enumeration_products():
     specs = [
-        *(direct_product(Cyclic(a), Cyclic(b)) for a in range(1, 25) for b in range(1, 25)),
-        *(direct_product(Cyclic(a), Dihedral(b)) for a in range(1, 25) for b in range(3, 25)),
-        *(direct_product(Units(m), Cyclic(a)) for m in range(2, 40) for a in range(1, 13)),
-        direct_product(Cyclic(8), Cyclic(125)),
-        direct_product(Cyclic(2), Dihedral(3), Units(5)),
+        *(Product((Cyclic(a), Cyclic(b))) for a in range(1, 25) for b in range(1, 25)),
+        *(Product((Cyclic(a), Dihedral(b))) for a in range(1, 25) for b in range(3, 25)),
+        *(Product((Units(m), Cyclic(a))) for m in range(2, 40) for a in range(1, 13)),
+        Product((Cyclic(8), Cyclic(125))),
+        Product((Cyclic(2), Dihedral(3), Units(5))),
     ]
     for spec in specs:
         assert order_profile(spec) == Counter(element_orders(spec)), spec
@@ -279,5 +278,5 @@ def test_dihedral_labels():
 
 
 def test_product_labels():
-    labels = element_labels(direct_product(Cyclic(2), Cyclic(3)))
+    labels = element_labels(Product((Cyclic(2), Cyclic(3))))
     assert labels == ("(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,2)")

@@ -8,7 +8,7 @@ import pytest
 
 from odgraph.errors import DomainError
 from odgraph.formulas import deg_zn
-from odgraph.groups import Cyclic, Dihedral, Units, direct_product
+from odgraph.groups import Cyclic, Dihedral, Product, Units
 from odgraph.numtheory import euler_phi
 from odgraph.verify import (
     DEFAULT_SUITE,
@@ -60,7 +60,7 @@ def test_verify_trivial_group():
 
 def test_verify_units_and_product():
     assert verify_group(Units(24)).passed
-    result = verify_group(direct_product(Cyclic(2), Cyclic(3)))
+    result = verify_group(Product((Cyclic(2), Cyclic(3))))
     assert result.passed
     rule = check_by_name(result, "girth_product_rule")
     assert rule.formula == 3 and rule.oracle == 3
@@ -73,7 +73,7 @@ def test_verify_respects_enumeration_bound():
     assert result.checks == ()
 
 
-@pytest.mark.parametrize("spec", [Units(15), direct_product(Cyclic(2), Cyclic(4))])
+@pytest.mark.parametrize("spec", [Units(15), Product((Cyclic(2), Cyclic(4)))])
 def test_corrupted_closed_form_profile_fails(spec, monkeypatch):
     # both groups have the profile {1: 1, 2: 3, 4: 4}; the enumerated
     # recount on the graph side must catch a wrong closed form
