@@ -35,7 +35,7 @@ from .errors import (
     SpecSyntaxError,
 )
 from .formulas import degree_via_profile, size_via_profile
-from .graph import DEFAULT_CHROMATIC_BOUND, build_graph, class_degrees, oracle_report
+from .graph import build_graph, class_degrees, oracle_report
 from .groups import (
     DEFAULT_ENUMERATION_BOUND,
     Cyclic,
@@ -267,7 +267,7 @@ def _cmd_export(args) -> int:
         lines.append("}")
         payload = "\n".join(lines) + "\n"
     elif args.format == "json":
-        report = oracle_report(graph, chromatic_bound=args.chromatic_bound)
+        report = oracle_report(graph)
         payload = _json_payload(
             {
                 "group": text,
@@ -310,13 +310,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
-    report = sweep(
-        args.family,
-        lo,
-        hi,
-        enum_bound=args.enum_bound,
-        chromatic_bound=args.chromatic_bound,
-    )
+    report = sweep(args.family, lo, hi, enum_bound=args.enum_bound)
     if args.format == "json":
         payload = _json_payload(report.to_dict())
     else:
@@ -345,8 +339,6 @@ def _format(*choices: str) -> tuple[str, dict[str, Any]]:
 
 _SPEC = ("spec", {})
 _TEXT_OR_JSON = _format("text", "json")
-_CHROMATIC_BOUND = {"type": non_negative_int, "default": DEFAULT_CHROMATIC_BOUND}
-_COLORING_HELP = "largest vertex count for exact coloring in json invariants"
 _ORACLE_HELP = "fail instead of omitting the oracle column past the bound"
 # only the commands that build the explicit graph take it
 _ENUM_BOUND = (
@@ -382,7 +374,6 @@ _COMMANDS = (
         [
             _SPEC,
             _format("dot", "json", "csv"),
-            ("--chromatic-bound", {**_CHROMATIC_BOUND, "help": _COLORING_HELP}),
             _ENUM_BOUND,
         ],
     ),
@@ -394,7 +385,6 @@ _COMMANDS = (
             ("family", {"choices": SWEEP_FAMILIES}),
             ("range", {"help": "inclusive parameter range, e.g. 1..200"}),
             _TEXT_OR_JSON,
-            ("--chromatic-bound", _CHROMATIC_BOUND),
             _ENUM_BOUND,
         ],
     ),

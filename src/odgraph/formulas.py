@@ -1,4 +1,4 @@
-"""Closed-form degree, size, and girth results for order-divisor graphs.
+"""Closed-form degree, size, girth and chromatic numbers of order-divisor graphs.
 
 This is the formula route: it reads order profiles and closed forms, never
 the explicit graph. All vertices of one order share a degree, so every edge
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from . import numtheory
 from .errors import DomainError
@@ -30,6 +30,7 @@ from .groups import (
 )
 
 __all__ = [
+    "chromatic_from_profile",
     "deg_dn",
     "deg_zn",
     "deg_zn_prime_power",
@@ -150,19 +151,12 @@ def size_dn(n: int) -> int:
     return _half_degree_sum(Dihedral(n).profile(), functools.partial(_deg_dn, n))
 
 
-def degree_via_profile(profile: OrderProfile) -> dict[int, int]:
-    """Degree of every order class, ``{order: degree}``, from the profile alone.
-
-    An order-m vertex is adjacent to the elements whose order divides m
-    (down[m]) or is a multiple of m (up[m]), less its own class. Both sums
-    are zeta transforms over the realized orders, one ascending and one
-    descending pass per prime, so the table costs O(classes * omega).
-    Realized orders are closed under divisors, so the primes are the orders
-    that no smaller prime divides, and no order is factorized. A profile
-    not closed under divisors raises DomainError, unless only primality
-    would show it ({1, 4} looks like {1, 2}); the table then still counts
-    the pairs of orders where one divides the other.
-    """
+def _prime_passes(profile: OrderProfile) -> Iterator[tuple[int, list[int]]]:
+    """Each realized prime p with its realized multiples, ascending. Realized
+    orders are closed under divisors, so the primes are the orders that no
+    smaller prime divides, and no order is factorized. A profile not closed
+    under divisors raises DomainError, unless only primality would show it
+    ({1, 4} looks like {1, 2}, and 4 is then taken for a prime)."""
     orders = sorted(profile)
     primes: list[int] = []
     for m in orders:
@@ -170,16 +164,46 @@ def degree_via_profile(profile: OrderProfile) -> dict[int, int]:
             if any(math.gcd(m, p) > 1 for p in primes):
                 raise DomainError(f"order {m} has an unrealized proper divisor")
             primes.append(m)
-    down, up = dict(profile), dict(profile)
+    realized = set(orders)
     for p in primes:
         multiples = [m for m in orders if m % p == 0]
         for m in multiples:
-            if m // p not in down:
+            if m // p not in realized:
                 raise DomainError(f"order {m} is realized but not {m // p}")
+        yield p, multiples
+
+
+def degree_via_profile(profile: OrderProfile) -> dict[int, int]:
+    """Degree of every order class, ``{order: degree}``, from the profile alone.
+
+    An order-m vertex is adjacent to the elements whose order divides m
+    (down[m]) or is a multiple of m (up[m]), less its own class. Both sums
+    are zeta transforms, one ascending and one descending pass per prime, so
+    the table costs O(classes * omega).
+    """
+    down, up = dict(profile), dict(profile)
+    for p, multiples in _prime_passes(profile):
+        for m in multiples:
             down[m] += down[m // p]
         for m in reversed(multiples):
             up[m // p] += up[m]
     return {m: down[m] + up[m] - 2 * count for m, count in profile.items()}
+
+
+def chromatic_from_profile(profile: OrderProfile) -> int:
+    """Chromatic number: 1 + max Omega(m) over the realized orders, with
+    Omega(m) the prime factors of m counted with multiplicity.
+
+    Order classes are independent sets and edges follow divisibility, so the
+    graph is a comparability graph with independent sets substituted for its
+    vertices, which is perfect (Lovasz 1972): its chromatic number is its
+    largest clique, one vertex per order of the longest divisor chain.
+    """
+    height = dict.fromkeys(profile, 1)  # 1 + Omega(m), the chain 1 | p | ... | m
+    for p, multiples in _prime_passes(profile):
+        for m in multiples:
+            height[m] = height[m // p] + 1
+    return max(height.values(), default=0)
 
 
 def size_via_profile(profile: OrderProfile) -> int:

@@ -18,9 +18,8 @@ induced by one representative per set of twins, built at most once per
 graph from the explicit adjacency. A shortest cycle through two twins u,
 u' shortens to the 4-cycle u, a, u', b, so the girth is H's, or 4 if
 smaller and some twin set of size at least 2 has degree at least 2. All
-twins can take one color, so the graph is bipartite exactly when H is.
-The chromatic number is exact backtracking; verification reports it as
-information only, not as a check.
+twins can take one color, so the graph is bipartite exactly when H is,
+and H has the graph's chromatic number, found by exact backtracking.
 """
 
 from __future__ import annotations
@@ -35,10 +34,12 @@ from typing import Iterator, Optional
 from .errors import DomainError
 from .groups import DEFAULT_ENUMERATION_BOUND, GroupSpec, element_orders
 
-DEFAULT_CHROMATIC_BOUND = 64
+# most twin-quotient vertices the exact coloring search takes; past it the
+# search grows too fast (96 quotient vertices already take seconds)
+CHROMATIC_BOUND = 64
 
 __all__ = [
-    "DEFAULT_CHROMATIC_BOUND",
+    "CHROMATIC_BOUND",
     "InvariantReport",
     "ODGraph",
     "build_graph",
@@ -61,7 +62,6 @@ class ODGraph:
     ``adjacency[v]`` is the tuple of v's neighbors in ascending order.
     """
 
-    spec: Optional[GroupSpec]
     orders: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
 
@@ -104,7 +104,6 @@ class ODGraph:
             class_of.append(c)
         index = {rep: i for i, rep in enumerate(reps)}
         quotient = ODGraph(
-            spec=None,
             orders=tuple(self.orders[rep] for rep in reps),
             adjacency=tuple(
                 tuple(index[w] for w in self.adjacency[rep] if w in index)
@@ -133,7 +132,6 @@ def build_graph(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> ODGr
         )
         neighbors[m] = tuple(sorted(itertools.chain.from_iterable(comparable)))
     return ODGraph(
-        spec=spec,
         orders=orders,
         adjacency=tuple(neighbors[order] for order in orders),
     )
@@ -309,17 +307,16 @@ def _k_colorable(
     return assign(0, 0)
 
 
-def oracle_chromatic_number(
-    graph: ODGraph, max_vertices: int = DEFAULT_CHROMATIC_BOUND
-) -> Optional[int]:
-    """Exact chromatic number by backtracking; None when past max_vertices.
+def oracle_chromatic_number(graph: ODGraph) -> Optional[int]:
+    """Exact chromatic number by backtracking; None when the twin quotient
+    has more than CHROMATIC_BOUND vertices.
 
     Runs on the subgraph induced by the twin representatives, which has the
     same chromatic number: each twin takes its representative's color.
     """
-    if graph.vertex_count > max_vertices:
-        return None
     adjacency = graph.twins[0].adjacency
+    if len(adjacency) > CHROMATIC_BOUND:
+        return None
     order = sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v]))
     return next(k for k in itertools.count() if _k_colorable(adjacency, order, k))
 
@@ -338,9 +335,7 @@ class InvariantReport:
     chromatic_number: Optional[int]
 
 
-def oracle_report(
-    graph: ODGraph, chromatic_bound: int = DEFAULT_CHROMATIC_BOUND
-) -> InvariantReport:
+def oracle_report(graph: ODGraph) -> InvariantReport:
     """Measure all supported invariants on the explicit graph."""
     ecc = eccentricities(graph)
     return InvariantReport(
@@ -351,5 +346,5 @@ def oracle_report(
         is_path=oracle_is_path(graph),
         radius=min(ecc),
         diameter=max(ecc),
-        chromatic_number=oracle_chromatic_number(graph, chromatic_bound),
+        chromatic_number=oracle_chromatic_number(graph),
     )

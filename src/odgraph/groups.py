@@ -35,11 +35,15 @@ from .errors import DomainError, EnumerationBoundError
 
 DEFAULT_ENUMERATION_BOUND = 100_000
 
+# most order classes of a product's profile (k distinct primes give 2**k)
+MAX_PROFILE_CLASSES = 2**16
+
 __all__ = [
     "Cyclic",
     "DEFAULT_ENUMERATION_BOUND",
     "Dihedral",
     "GroupSpec",
+    "MAX_PROFILE_CLASSES",
     "OrderProfile",
     "Product",
     "Units",
@@ -59,12 +63,15 @@ def _check_parameter(family: str, n: int, least: int) -> None:
 
 
 def _lcm_convolution(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
-    """Profile of G x H from the profiles of G and H."""
+    """Profile of G x H from the profiles of G and H; DomainError once it
+    has more than MAX_PROFILE_CLASSES classes."""
     result: dict[int, int] = {}
     for a, x in left.items():
         for b, y in right.items():
             m = math.lcm(a, b)
             result[m] = result.get(m, 0) + x * y
+        if len(result) > MAX_PROFILE_CLASSES:
+            raise DomainError(f"order profile has over {MAX_PROFILE_CLASSES} classes")
     return result
 
 

@@ -220,15 +220,15 @@ def test_criterion_7_metric_and_shape_consequences():
 def test_criterion_8_chromatic_measurement():
     with criterion(
         8,
-        "exact coloring of the Z6 graph measures chromatic number 3; the "
-        "order-plus-one comparison is recorded as informational and stays false",
+        "exact coloring of the Z6 graph measures chromatic number 3, the "
+        "longest divisor chain, not the order plus one; verify checks it",
     ):
         measured = oracle_chromatic_number(graph_of(Cyclic(6)))
-        assert measured == 3
+        assert measured == 3 != 6 + 1
         result = verify_group(Cyclic(6))
         assert result.passed
-        assert result.info["chromatic_number"] == 3
-        assert result.info["chromatic_equals_order_plus_one"] is False
+        chromatic = [c for c in result.checks if c.name == "chromatic"]
+        assert [(c.formula, c.oracle) for c in chromatic] == [(3, 3)]
 
 
 def perturbed_deg_zn(n, m):

@@ -137,6 +137,19 @@ def test_size_of_a_product_of_sixteen_primes_is_fast(capsys):
     assert capsys.readouterr().out == product_size
 
 
+def test_profile_past_the_class_cap_fails_fast(capsys):
+    # seventeen primes give 2**17 order classes, past MAX_PROFILE_CLASSES
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    start = time.perf_counter()
+    assert main(["size", "x".join(f"Z{p}" for p in primes)]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "65536 classes" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_size_of_two_large_primes_factorizes_no_order(capsys):
     # the order (about 10**28) is past the factorization ceiling
     assert main(["size", "Z99999999999973xZ99999999999971"]) == 0
@@ -299,12 +312,6 @@ def test_export_json(capsys):
     }
 
 
-def test_export_json_chromatic_bound(capsys):
-    assert main(["export", "Z6", "--format", "json", "--chromatic-bound", "2"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["invariants"]["chromatic_number"] is None
-
-
 def test_export_csv(capsys):
     assert main(["export", "D5", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -368,8 +375,6 @@ def test_verify_usage_errors(capsys):
     "argv",
     [
         ["verify", "cyclic", "1..3", "--enum-bound", "-5"],
-        ["export", "Z6", "--format", "json", "--chromatic-bound", "-1"],
-        ["verify", "cyclic", "1..3", "--chromatic-bound", "-1"],
         ["degrees", "Z6", "--enum-bound", "-1"],
     ],
 )
@@ -387,6 +392,22 @@ def test_formula_commands_take_no_enum_bound(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --enum-bound" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "Z6", "--chromatic-bound", "3"],
+        ["verify", "cyclic", "1..3", "--chromatic-bound", "3"],
+    ],
+    ids=["export", "verify"],
+)
+def test_no_command_takes_a_chromatic_bound(argv, capsys):
+    # the coloring search is bounded by a constant on the twin quotient
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --chromatic-bound" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odgraph.errors import DomainError, EnumerationBoundError
-from odgraph.formulas import degree_via_profile, size_via_profile
+from odgraph.formulas import (
+    chromatic_from_profile,
+    degree_via_profile,
+    size_via_profile,
+)
 from odgraph.graph import (
     ODGraph,
     build_graph,
@@ -42,7 +46,6 @@ def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> ODGraph:
         adjacency[u].add(v)
         adjacency[v].add(u)
     return ODGraph(
-        spec=None,
         orders=(1,) * n,
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),
     )
@@ -149,7 +152,13 @@ def test_oracle_chromatic_known_graphs():
     assert oracle_chromatic_number(path_graph(3)) == 2
     assert oracle_chromatic_number(star_graph(8)) == 2
     assert oracle_chromatic_number(graph_from_edges(3, [])) == 1
-    assert oracle_chromatic_number(complete_graph(9), max_vertices=8) is None
+    # past CHROMATIC_BOUND twin-quotient vertices (K65 has no twins)
+    assert oracle_chromatic_number(complete_graph(65)) is None
+
+
+def test_chromatic_bound_counts_twin_quotient_vertices():
+    # 840 elements, but 32 order classes: chain 1 | 2 | 4 | 8 | 24 | 120 | 840
+    assert oracle_chromatic_number(build_graph(Cyclic(840))) == 7
 
 
 def test_eccentricities_known_graphs():
@@ -415,16 +424,33 @@ def test_degree_via_profile():
             degree_via_profile(not_closed)
 
 
-@settings(max_examples=200)
-@given(st.dictionaries(st.integers(1, 400), st.integers(1, 5), max_size=12))
-def test_degree_via_profile_matches_the_pairwise_scan(counts):
-    # closed under divisors, the table is the scan's
-    closed = {
+def longest_chain(orders) -> int:
+    """The O(classes**2) reference for chromatic_from_profile: the most
+    orders in one divisor chain."""
+    chain: dict[int, int] = {}
+    for m in sorted(orders):
+        chain[m] = 1 + max((chain[d] for d in chain if m % d == 0), default=0)
+    return max(chain.values(), default=0)
+
+
+def divisor_closure(counts: dict[int, int]) -> dict[int, int]:
+    """counts with every divisor of its orders (and 1) added, at count 1."""
+    return {
         d: counts.get(d, 1)
         for m in [1, *counts]
         for d in range(1, m + 1)
         if m % d == 0
     }
+
+
+profile_counts = st.dictionaries(st.integers(1, 400), st.integers(1, 5), max_size=12)
+
+
+@settings(max_examples=200)
+@given(profile_counts)
+def test_degree_via_profile_matches_the_pairwise_scan(counts):
+    # closed under divisors, the table is the scan's
+    closed = divisor_closure(counts)
     assert degree_via_profile(closed) == scan_degrees(closed)
     # otherwise it is refused, or still the scan's ({1, 4} looks like {1, 2})
     try:
@@ -432,6 +458,28 @@ def test_degree_via_profile_matches_the_pairwise_scan(counts):
     except DomainError:
         return
     assert table == scan_degrees(counts)
+
+
+def test_chromatic_from_profile():
+    assert chromatic_from_profile(order_profile(Cyclic(1))) == 1
+    assert chromatic_from_profile(order_profile(Cyclic(6))) == 3
+    assert chromatic_from_profile(order_profile(Units(24))) == 2
+    assert chromatic_from_profile(order_profile(Dihedral(8))) == 4
+    with pytest.raises(DomainError):
+        chromatic_from_profile({1: 1, 2: 1, 6: 4})
+
+
+@settings(max_examples=200)
+@given(profile_counts)
+def test_chromatic_from_profile_matches_the_longest_chain(counts):
+    closed = divisor_closure(counts)
+    assert chromatic_from_profile(closed) == longest_chain(closed)
+    # otherwise it is refused, or still the chain's ({1, 4} looks like {1, 2})
+    try:
+        chromatic = chromatic_from_profile(counts)
+    except DomainError:
+        return
+    assert chromatic == longest_chain(counts)
 
 
 def test_size_via_profile():

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from odgraph import formulas
 from odgraph.errors import DomainError
 from odgraph.formulas import deg_zn
 from odgraph.groups import Cyclic, Dihedral, Product, Units
@@ -35,10 +36,11 @@ def test_verify_cyclic_six():
     assert size.formula == 11 and size.oracle == 11
     girth = check_by_name(result, "girth")
     assert girth.formula == 3 and girth.oracle == 3
-    assert check_by_name(result, "handshake").passed
     assert check_by_name(result, "radius_diameter").oracle == [1, 2]
-    assert result.info["chromatic_number"] == 3
-    assert result.info["chromatic_equals_order_plus_one"] is False
+    # the longest divisor chain 1 | 2 | 6, not the order plus one
+    chromatic = check_by_name(result, "chromatic")
+    assert chromatic.formula == 3 and chromatic.oracle == 3
+    assert not hasattr(result, "info")
 
 
 def test_verify_dihedral_four():
@@ -169,3 +171,16 @@ def test_fault_injection_is_detected():
     # the oracle side is untouched, so the honest route still holds
     clean = sweep("cyclic", 1, 20)
     assert clean.passed
+
+
+def test_chromatic_fault_injection_is_detected(monkeypatch):
+    # verify looks the formula up on the module, so a patched one is used
+    honest = formulas.chromatic_from_profile
+    monkeypatch.setattr(
+        formulas, "chromatic_from_profile", lambda profile: honest(profile) + 1
+    )
+    report = sweep("cyclic", 1, 20)
+    assert not report.passed
+    assert report.failed_count == 20
+    first = next(r for r in report.results if not r.passed)
+    assert first.first_mismatch.startswith("chromatic")
