@@ -375,6 +375,8 @@ def test_verify_usage_errors(capsys):
     "argv",
     [
         ["verify", "cyclic", "1..3", "--enum-bound", "-5"],
+        ["export", "Z6", "--format", "json", "--enum-bound", "-1"],
+        ["verify", "dihedral", "3..6", "--enum-bound", "-1"],
         ["degrees", "Z6", "--enum-bound", "-1"],
     ],
 )
