@@ -159,8 +159,8 @@ def _bool_text(flag: bool) -> str:
 def _degree_rows(spec: GroupSpec, args) -> list[dict[str, Any]]:
     profile = order_profile(spec)
     oracle_degrees: Optional[dict[int, int]] = None
-    # past the bound build_graph raises, which --oracle turns into a failure
-    if args.oracle or group_order(spec) <= args.enum_bound:
+    # past the bound the oracle column is left out
+    if group_order(spec) <= args.enum_bound:
         oracle_degrees, _ = class_degrees(build_graph(spec, args.enum_bound))
     # looked up on the module per call, so a patched formula takes effect
     closed_forms = family_formulas(spec, formulas)
@@ -339,7 +339,6 @@ def _format(*choices: str) -> tuple[str, dict[str, Any]]:
 
 _SPEC = ("spec", {})
 _TEXT_OR_JSON = _format("text", "json")
-_ORACLE_HELP = "fail instead of omitting the oracle column past the bound"
 # only the commands that build the explicit graph take it
 _ENUM_BOUND = (
     "--enum-bound",
@@ -360,7 +359,6 @@ _COMMANDS = (
         [
             ("spec", {"help": "group spec, e.g. Z6 or Z2xZ3"}),
             _format("text", "csv", "json"),
-            ("--oracle", {"action": "store_true", "help": _ORACLE_HELP}),
             _ENUM_BOUND,
         ],
     ),

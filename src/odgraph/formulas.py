@@ -6,6 +6,8 @@ count (Z_n, D_n, any profile) is half the class-weighted degree sum. A Z_n
 or D_n degree is a product over the factorization of n (see ``_deg_zn``),
 so it costs O(omega(n)), and a size O(d(n) * omega(n)). Any profile's
 degree table costs O(classes * omega) (see ``degree_via_profile``).
+``prime_power_identities`` gives the paper's closed forms for Z_{p**k}:
+each class degree, the degree sum, the order sum and the size.
 
 Every function here mirrors an exact integer identity. Divisions are
 checked: a nonzero remainder can only mean the implementation is wrong,
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from typing import Any
 
 from . import numtheory
 from .errors import DomainError
@@ -33,8 +36,6 @@ __all__ = [
     "chromatic_from_profile",
     "deg_dn",
     "deg_zn",
-    "deg_zn_prime_power",
-    "degree_sum_zn_prime_power",
     "degree_via_profile",
     "girth_from_profile",
     "girth_of_group",
@@ -43,11 +44,10 @@ __all__ = [
     "is_path_group",
     "is_star_group",
     "is_star_profile",
-    "order_sum_prime_power",
+    "prime_power_identities",
     "size_dn",
     "size_via_profile",
     "size_zn",
-    "size_zn_prime_power",
 ]
 
 
@@ -64,13 +64,6 @@ def _exact_div(numerator: int, denominator: int) -> int:
     if remainder:
         raise ArithmeticError(f"{numerator} is not divisible by {denominator}")
     return quotient
-
-
-def _require_prime_power(p: int, k: int) -> None:
-    if not numtheory.is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    if k < 1:
-        raise DomainError(f"need k >= 1, got {k}")
 
 
 def _deg_zn(n: int, m: int) -> int:
@@ -93,37 +86,26 @@ def deg_zn(n: int, m: int) -> int:
     return _deg_zn(n, m)
 
 
-def deg_zn_prime_power(p: int, k: int, i: int) -> int:
-    """Degree of an order-p**i vertex in the order-divisor graph of Z_{p**k}."""
-    _require_prime_power(p, k)
-    if i < 0 or i > k:
-        raise DomainError(f"need 0 <= i <= k, got k={k}, i={i}")
-    if i == 0:
-        return p**k - 1
-    return p**k + p ** (i - 1) - p**i
-
-
-def degree_sum_zn_prime_power(p: int, k: int) -> int:
-    """Sum of all vertex degrees in the order-divisor graph of Z_{p**k}."""
-    _require_prime_power(p, k)
-    return _exact_div(2 * p ** (2 * k) - 2, p + 1)
-
-
-def order_sum_prime_power(p: int, k: int) -> int:
-    """Sum of the element orders of Z_{p**k}."""
-    _require_prime_power(p, k)
-    return _exact_div(p ** (2 * k + 1) + 1, p + 1)
+def prime_power_identities(p: int, k: int) -> dict[str, Any]:
+    """The paper's closed forms for Z_{p**k}: the degree of an order-p**i
+    vertex for each 0 <= i <= k, the degree sum, the order sum and the size."""
+    if not numtheory.is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+    if k < 1:
+        raise DomainError(f"need k >= 1, got {k}")
+    top = p**k
+    degrees = {p**i: top + p ** (i - 1) - p**i for i in range(1, k + 1)}
+    return {
+        "degrees": {1: top - 1, **degrees},
+        "degree_sum": _exact_div(2 * p ** (2 * k) - 2, p + 1),
+        "order_sum": _exact_div(p ** (2 * k + 1) + 1, p + 1),
+        "size": _exact_div(p ** (2 * k) - 1, p + 1),
+    }
 
 
 def size_zn(n: int) -> int:
     """Edge count of the order-divisor graph of Z_n."""
     return _half_degree_sum(Cyclic(n).profile(), functools.partial(_deg_zn, n))
-
-
-def size_zn_prime_power(p: int, k: int) -> int:
-    """Edge count of the order-divisor graph of Z_{p**k}, in closed form."""
-    _require_prime_power(p, k)
-    return _exact_div(p ** (2 * k) - 1, p + 1)
 
 
 def _deg_dn(n: int, m: int) -> int:

@@ -37,6 +37,8 @@ DEFAULT_ENUMERATION_BOUND = 100_000
 
 # most order classes of a product's profile (k distinct primes give 2**k)
 MAX_PROFILE_CLASSES = 2**16
+# most class pairs one lcm-convolution step may combine, about a second
+MAX_PROFILE_PAIRS = 2**22
 
 __all__ = [
     "Cyclic",
@@ -44,6 +46,7 @@ __all__ = [
     "Dihedral",
     "GroupSpec",
     "MAX_PROFILE_CLASSES",
+    "MAX_PROFILE_PAIRS",
     "OrderProfile",
     "Product",
     "Units",
@@ -63,8 +66,14 @@ def _check_parameter(family: str, n: int, least: int) -> None:
 
 
 def _lcm_convolution(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
-    """Profile of G x H from the profiles of G and H; DomainError once it
+    """Profile of G x H from the profiles of G and H; DomainError when it
+    would combine more than MAX_PROFILE_PAIRS pairs of classes, or once it
     has more than MAX_PROFILE_CLASSES classes."""
+    pairs = len(left) * len(right)
+    if pairs > MAX_PROFILE_PAIRS:
+        raise DomainError(
+            f"order profile needs {pairs} class pairs, over {MAX_PROFILE_PAIRS}"
+        )
     result: dict[int, int] = {}
     for a, x in left.items():
         for b, y in right.items():

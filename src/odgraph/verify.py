@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from . import formulas
+from . import formulas, numtheory
 from .formulas import degree_via_profile, size_via_profile
 from .graph import build_graph, class_degrees, oracle_is_cycle_graph, oracle_report
 from .groups import (
@@ -95,7 +95,8 @@ def _first_diff(name: str, formula: Any, oracle: Any) -> str:
             left = formula.get(key)
             right = oracle.get(key)
             if left != right:
-                return f"{name}: order {key}: formula {left!r} != oracle {right!r}"
+                label = f"order {key}" if isinstance(key, int) else key
+                return _first_diff(f"{name}: {label}", left, right)
     return f"{name}: formula {formula!r} != oracle {oracle!r}"
 
 
@@ -106,15 +107,6 @@ def _compare(
     if not passed and detail is None:
         detail = _first_diff(name, formula, oracle)
     return CheckResult(name, formula, oracle, passed, None if passed else detail)
-
-
-def _holds(
-    name: str, formula: Any, oracle: Any, passed: bool, problem: str
-) -> CheckResult:
-    """A check that passes on a condition other than equality; ``problem``
-    says what a failure found."""
-    detail = None if passed else f"{name}: {problem}"
-    return CheckResult(name, formula, oracle, passed, detail)
 
 
 @dataclass(frozen=True)
@@ -205,18 +197,9 @@ def verify_group(
     if closed_forms is not None:
         checks.append(_compare("size_formula", closed_forms[1](), report.size))
 
-    # girth: the profile rule (some realized order composite), the
-    # dichotomy, and the factor-wise rule for products
+    # girth: the profile rule (some realized order composite) and the
+    # factor-wise rule for products
     checks.append(_compare("girth", formulas.girth_from_profile(profile), report.girth))
-    checks.append(
-        _holds(
-            "girth_dichotomy",
-            [0, 3],
-            report.girth,
-            report.girth in (0, 3),
-            f"oracle girth {report.girth} is neither 0 nor 3",
-        )
-    )
     if isinstance(spec, Product) and len(spec.factors) == 2:
         product_girth = formulas.girth_of_product(spec.factors[0], spec.factors[1])
         checks.append(_compare("girth_product_rule", product_girth, report.girth))
@@ -230,17 +213,15 @@ def verify_group(
         "bipartite": report.is_bipartite,
         "acyclic": report.girth == 0,
     }
+    agree = len({star_formula, *oracle_side.values()}) == 1
+    detail = f"star_equivalence: formula {formula_side!r} vs oracle {oracle_side!r}"
     checks.append(
-        _holds(
-            "star_equivalence",
-            formula_side,
-            oracle_side,
-            len({star_formula, *oracle_side.values()}) == 1,
-            f"formula {formula_side!r} vs oracle {oracle_side!r}",
+        CheckResult(
+            "star_equivalence", formula_side, oracle_side, agree, None if agree else detail
         )
     )
 
-    checks.append(_compare("path_rule", order in (2, 3), report.is_path))
+    checks.append(_compare("path_rule", formulas.is_path_group(spec), report.is_path))
 
     # the identity is adjacent to everything: radius 1, diameter at most 2
     expected = [min(order - 1, 1), min(order - 1, 2)]
@@ -249,14 +230,25 @@ def verify_group(
     )
 
     if order >= 3:
-        is_complete = report.size == order * (order - 1) // 2
-        checks.append(_compare("not_complete", False, is_complete))
         checks.append(_compare("not_a_cycle", False, oracle_is_cycle_graph(graph)))
 
     # the longest divisor chain, wherever the oracle colored the graph
     if report.chromatic_number is not None:
         chromatic = formulas.chromatic_from_profile(profile)
         checks.append(_compare("chromatic", chromatic, report.chromatic_number))
+
+    # the paper's closed forms for Z_{p^k}, k >= 1
+    primes = numtheory.factorize(order) if isinstance(spec, Cyclic) else ()
+    if len(primes) == 1:
+        [(p, k)] = primes
+        measured = {
+            "degrees": oracle_degrees,
+            "degree_sum": sum(map(len, graph.adjacency)),
+            "order_sum": sum(graph.orders),
+            "size": report.size,
+        }
+        identities = formulas.prime_power_identities(p, k)
+        checks.append(_compare("prime_power", identities, measured))
 
     return VerificationResult(spec, text, order, tuple(checks))
 

@@ -12,17 +12,15 @@ from contextlib import contextmanager
 from odgraph.formulas import (
     deg_dn,
     deg_zn,
-    degree_sum_zn_prime_power,
     degree_via_profile,
     girth_from_profile,
     girth_of_product,
     is_path_group,
     is_star_group,
-    order_sum_prime_power,
+    prime_power_identities,
     size_dn,
     size_via_profile,
     size_zn,
-    size_zn_prime_power,
 )
 from odgraph.graph import (
     build_graph,
@@ -133,19 +131,21 @@ def test_criterion_3_prime_power_identities():
         for p, k in PRIME_POWER_CASES:
             n = p**k
             graph = graph_of(Cyclic(n))
-            degree_sum = degree_sum_zn_prime_power(p, k)
+            identities = prime_power_identities(p, k)
+            degree_sum = identities["degree_sum"]
             assert degree_sum == (2 * p ** (2 * k) - 2) // (p + 1)
             assert degree_sum == sum(map(len, graph.adjacency))
             assert degree_sum == sum(
                 euler_phi(m) * deg_zn(n, m) for m in divisors(n)
             )
-            order_sum = order_sum_prime_power(p, k)
+            order_sum = identities["order_sum"]
             assert order_sum == (p ** (2 * k + 1) + 1) // (p + 1)
             assert order_sum == sum(graph.orders)
-            assert size_zn_prime_power(p, k) == (p ** (2 * k) - 1) // (p + 1)
-            assert size_zn_prime_power(p, k) == graph.edge_count
+            assert identities["size"] == (p ** (2 * k) - 1) // (p + 1)
+            assert identities["size"] == graph.edge_count
         for k in range(1, 11):
-            assert 1 + degree_sum_zn_prime_power(2, k) == order_sum_prime_power(2, k)
+            identities = prime_power_identities(2, k)
+            assert 1 + identities["degree_sum"] == identities["order_sum"]
         assert time.perf_counter() - started < 5.0
 
 

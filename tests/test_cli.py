@@ -150,6 +150,20 @@ def test_profile_past_the_class_cap_fails_fast(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_profile_past_the_pair_cap_fails_fast(capsys):
+    # 6720 classes per factor: 6720**2 pairs, past MAX_PROFILE_PAIRS, are
+    # refused before any lcm is taken
+    start = time.perf_counter()
+    assert main(["classify", "Z963761198400xZ963761198400"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    # 768 classes per factor: 768**2 pairs are under the cap and answer
+    assert main(["classify", "Z73513440xZ73513440"]) == 0
+
+
 def test_size_of_two_large_primes_factorizes_no_order(capsys):
     # the order (about 10**28) is past the factorization ceiling
     assert main(["size", "Z99999999999973xZ99999999999971"]) == 0
@@ -203,8 +217,9 @@ def test_degrees_formula_only_past_bound(capsys):
         assert line.split()[-1] == "-"
 
 
-def test_degrees_oracle_flag_fails_past_bound(capsys):
-    assert main(["degrees", "Z200000", "--oracle"]) == 1
+def test_degrees_has_no_oracle_flag(capsys):
+    # past the bound the oracle column is "-"; a larger --enum-bound fills it
+    assert main(["degrees", "Z200000", "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err

@@ -6,8 +6,6 @@ from odgraph.errors import DomainError
 from odgraph.formulas import (
     deg_dn,
     deg_zn,
-    deg_zn_prime_power,
-    degree_sum_zn_prime_power,
     girth_from_profile,
     girth_of_group,
     girth_of_product,
@@ -15,10 +13,9 @@ from odgraph.formulas import (
     is_path_group,
     is_star_group,
     is_star_profile,
-    order_sum_prime_power,
+    prime_power_identities,
     size_dn,
     size_zn,
-    size_zn_prime_power,
 )
 from odgraph.graph import build_graph, class_degrees, oracle_girth, oracle_is_star
 from odgraph.groups import (
@@ -73,61 +70,69 @@ def test_deg_zn_matches_oracle():
             assert deg_zn(n, m) == degrees[m]
 
 
+def degree_sum(p, k):
+    return prime_power_identities(p, k)["degree_sum"]
+
+
+def order_sum(p, k):
+    return prime_power_identities(p, k)["order_sum"]
+
+
 def test_deg_zn_prime_power_values():
-    assert deg_zn_prime_power(2, 3, 0) == 7
-    assert deg_zn_prime_power(2, 3, 2) == 6
-    assert deg_zn_prime_power(3, 2, 1) == 7
+    assert prime_power_identities(2, 3)["degrees"][1] == 7
+    assert prime_power_identities(2, 3)["degrees"][4] == 6
+    assert prime_power_identities(3, 2)["degrees"][3] == 7
 
 
 def test_deg_zn_prime_power_validation():
     with pytest.raises(DomainError):
-        deg_zn_prime_power(4, 2, 1)
+        prime_power_identities(4, 2)
+    # one degree per order p**i with 0 <= i <= k, so none for 3**3 in Z9
+    assert sorted(prime_power_identities(3, 2)["degrees"]) == [1, 3, 9]
     with pytest.raises(DomainError):
-        deg_zn_prime_power(3, 2, 3)
-    with pytest.raises(DomainError):
-        deg_zn_prime_power(3, 0, 0)
+        prime_power_identities(3, 0)
 
 
 def test_deg_zn_prime_power_matches_general_form():
     for p, k in prime_power_cases():
-        for i in range(k + 1):
-            assert deg_zn_prime_power(p, k, i) == deg_zn(p**k, p**i)
+        degrees = prime_power_identities(p, k)["degrees"]
+        assert degrees == {p**i: deg_zn(p**k, p**i) for i in range(k + 1)}
 
 
 # --- degree and order sums --------------------------------------------------
 
 
 def test_degree_sum_values():
-    assert degree_sum_zn_prime_power(2, 1) == 2
-    assert degree_sum_zn_prime_power(2, 3) == 42
+    assert degree_sum(2, 1) == 2
+    assert degree_sum(2, 3) == 42
     # (2 * 3**4 - 2) / 4; the explicit graph on 9 vertices confirms it
-    assert degree_sum_zn_prime_power(3, 2) == 40
-    assert degree_sum_zn_prime_power(3, 4) == 3280
+    assert degree_sum(3, 2) == 40
+    assert degree_sum(3, 4) == 3280
 
 
 def test_degree_sum_matches_oracle():
     for p, k in prime_power_cases(200):
         graph = build_graph(Cyclic(p**k))
         oracle_sum = sum(map(len, graph.adjacency))
-        assert degree_sum_zn_prime_power(p, k) == oracle_sum
+        assert degree_sum(p, k) == oracle_sum
 
 
 def test_degree_sum_matches_profile_route():
     for p, k in prime_power_cases():
         n = p**k
         profile_sum = sum(euler_phi(m) * deg_zn(n, m) for m in divisors(n))
-        assert degree_sum_zn_prime_power(p, k) == profile_sum
+        assert degree_sum(p, k) == profile_sum
 
 
 def test_order_sum_values():
-    assert order_sum_prime_power(3, 1) == 7
-    assert order_sum_prime_power(2, 3) == 43
+    assert order_sum(3, 1) == 7
+    assert order_sum(2, 3) == 43
 
 
 def test_order_sum_matches_enumeration():
     for p, k in prime_power_cases(2000):
         expected = sum(element_orders(Cyclic(p**k)))
-        assert order_sum_prime_power(p, k) == expected
+        assert order_sum(p, k) == expected
 
 
 def test_divisibility_sanity():
@@ -139,10 +144,10 @@ def test_divisibility_sanity():
 
 def test_degree_sum_order_sum_identity_p2():
     for k in range(1, 11):
-        assert 1 + degree_sum_zn_prime_power(2, k) == order_sum_prime_power(2, k)
+        assert 1 + degree_sum(2, k) == order_sum(2, k)
         # the p = 2 closed forms
-        assert degree_sum_zn_prime_power(2, k) == (2 ** (2 * k + 1) - 2) // 3
-        assert order_sum_prime_power(2, k) == (2 ** (2 * k + 1) + 1) // 3
+        assert degree_sum(2, k) == (2 ** (2 * k + 1) - 2) // 3
+        assert order_sum(2, k) == (2 ** (2 * k + 1) + 1) // 3
 
 
 # --- cyclic sizes -------------------------------------------------------------
@@ -161,10 +166,10 @@ def test_size_zn_matches_oracle():
 
 
 def test_size_zn_prime_power():
-    assert size_zn_prime_power(2, 3) == 21
-    assert size_zn_prime_power(3, 2) == 20
+    assert prime_power_identities(2, 3)["size"] == 21
+    assert prime_power_identities(3, 2)["size"] == 20
     for p, k in prime_power_cases():
-        assert size_zn_prime_power(p, k) == size_zn(p**k)
+        assert prime_power_identities(p, k)["size"] == size_zn(p**k)
 
 
 # --- the closed forms against the divisor-lattice sums they replace ----------

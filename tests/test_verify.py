@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from odgraph import formulas
+from odgraph import formulas, graph, verify
 from odgraph.errors import DomainError
 from odgraph.formulas import deg_zn
 from odgraph.groups import Cyclic, Dihedral, Product, Units
@@ -48,7 +48,6 @@ def test_verify_dihedral_four():
     assert result.passed
     assert check_by_name(result, "size_formula").oracle == 17
     assert check_by_name(result, "star_equivalence").passed
-    assert check_by_name(result, "not_complete").passed
     assert check_by_name(result, "not_a_cycle").passed
 
 
@@ -184,3 +183,84 @@ def test_chromatic_fault_injection_is_detected(monkeypatch):
     assert report.failed_count == 20
     first = next(r for r in report.results if not r.passed)
     assert first.first_mismatch.startswith("chromatic")
+
+
+# --- one fault per check: each check can be the first mismatch on its own ---
+
+# together these emit every check name verify_group has
+MATRIX_SPECS = [*_sweep_specs("cyclic", 1, 30), *_sweep_specs("product", 1, 5)]
+
+
+def off_by_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def z12_moved(honest):
+    """Z12's profile with two elements moved from order 12 to order 4."""
+
+    def profile(self):
+        entries = honest(self)
+        if self.n == 12:
+            entries[12] -= 2
+            entries[4] += 2
+        return entries
+
+    return profile
+
+
+def wrong_order_sum(honest):
+    return lambda p, k: {**honest(p, k), "order_sum": honest(p, k)["order_sum"] + 1}
+
+
+# check name -> (owner, attribute, wrong replacement from the honest one);
+# a FormulaSuite field is patched in the suite instead
+FAULTS = {
+    "order_profile": (Cyclic, "profile", z12_moved),
+    "degrees_profile": (
+        verify,
+        "degree_via_profile",
+        lambda honest: lambda profile: {m: d + 1 for m, d in honest(profile).items()},
+    ),
+    "degrees_formula": (FormulaSuite, "deg_zn", off_by_one),
+    "size_profile": (verify, "size_via_profile", off_by_one),
+    "size_formula": (FormulaSuite, "size_zn", off_by_one),
+    "girth": (formulas, "girth_from_profile", lambda honest: lambda p: 3 - honest(p)),
+    "girth_product_rule": (
+        formulas,
+        "girth_of_product",
+        lambda honest: lambda a, b: 3 - honest(a, b),
+    ),
+    "star_equivalence": (
+        graph,
+        "oracle_is_bipartite",
+        lambda honest: lambda g: not honest(g),
+    ),
+    "path_rule": (graph, "oracle_is_path", lambda honest: lambda g: not honest(g)),
+    "radius_diameter": (
+        graph,
+        "eccentricities",
+        lambda honest: lambda g: [e + 1 for e in honest(g)],
+    ),
+    "not_a_cycle": (verify, "oracle_is_cycle_graph", lambda honest: lambda g: True),
+    "chromatic": (formulas, "chromatic_from_profile", off_by_one),
+    "prime_power": (formulas, "prime_power_identities", wrong_order_sum),
+}
+
+
+def test_fault_matrix_covers_every_check():
+    results = [verify_group(spec) for spec in MATRIX_SPECS]
+    assert all(result.passed for result in results)
+    assert {c.name for result in results for c in result.checks} == set(FAULTS)
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_each_check_can_be_the_first_mismatch(name, monkeypatch):
+    owner, attribute, wrong = FAULTS[name]
+    suite = DEFAULT_SUITE
+    if owner is FormulaSuite:
+        broken = wrong(getattr(DEFAULT_SUITE, attribute))
+        suite = dataclasses.replace(DEFAULT_SUITE, **{attribute: broken})
+    else:
+        monkeypatch.setattr(owner, attribute, wrong(getattr(owner, attribute)))
+    firsts = [verify_group(spec, suite=suite).first_mismatch for spec in MATRIX_SPECS]
+    assert any(first and first.startswith(f"{name}:") for first in firsts), firsts
