@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -52,8 +53,12 @@ from .verify import SWEEP_FAMILIES, family_formulas, sweep
 
 __all__ = ["main", "parse_spec"]
 
-_DIGITS = "0123456789"
-_FAMILY_LETTERS = {"Z": Cyclic, "D": Dihedral, "U": Units}
+_FAMILY_LETTERS = {atom.letter: atom for atom in (Cyclic, Dihedral, Units)}
+
+# one atom and the character after it: whitespace, the family letter,
+# whitespace, ASCII decimal digits, whitespace, then the 'x' before the
+# next atom or nothing at the end of the spec; \s is str.isspace()
+_ATOM = re.compile(r"\s*(.?)\s*([0-9]*)\s*(.?)", re.DOTALL)
 
 
 def _decimal(digits: str) -> int:
@@ -71,51 +76,30 @@ def parse_spec(text: str) -> GroupSpec:
     SpecConstraintError when a family bound is violated (e.g. ``D2``).
     """
 
-    def byte_offset(j: int) -> int:
-        return len(text[:j].encode("utf-8"))
-
-    def skip_ws(j: int) -> int:
-        while j < len(text) and text[j].isspace():
-            j += 1
-        return j
+    def error(message: str, group: int) -> SpecSyntaxError:
+        return SpecSyntaxError(message, len(text[: match.start(group)].encode("utf-8")))
 
     atoms: list[GroupSpec] = []
     i = 0
-    expect_atom = True
     while True:
-        i = skip_ws(i)
-        if expect_atom:
-            if i >= len(text):
-                raise SpecSyntaxError(
-                    "expected a group atom (Z<n>, D<n>, or U<n>)", byte_offset(i)
-                )
-            family = text[i].upper()
-            if family not in _FAMILY_LETTERS:
-                raise SpecSyntaxError(
-                    f"expected family letter Z, D, or U, found {text[i]!r}",
-                    byte_offset(i),
-                )
-            i = skip_ws(i + 1)
-            start = i
-            while i < len(text) and text[i] in _DIGITS:
-                i += 1
-            if start == i:
-                raise SpecSyntaxError("expected a decimal number", byte_offset(i))
-            try:
-                atoms.append(_FAMILY_LETTERS[family](_decimal(text[start:i])))
-            except DomainError as exc:
-                raise SpecConstraintError(str(exc)) from exc
-            expect_atom = False
-        else:
-            if i >= len(text):
-                break
-            if text[i] in "xX":
-                i += 1
-                expect_atom = True
-            else:
-                raise SpecSyntaxError(
-                    f"expected 'x' or end of spec, found {text[i]!r}", byte_offset(i)
-                )
+        match = _ATOM.match(text, i)
+        letter, digits, after = match.groups()
+        family = _FAMILY_LETTERS.get(letter.upper())
+        if not letter:
+            raise error("expected a group atom (Z<n>, D<n>, or U<n>)", 1)
+        if family is None:
+            raise error(f"expected family letter Z, D, or U, found {letter!r}", 1)
+        if not digits:
+            raise error("expected a decimal number", 2)
+        try:
+            atoms.append(family(_decimal(digits)))
+        except DomainError as exc:
+            raise SpecConstraintError(str(exc)) from exc
+        if not after:
+            break
+        if after not in "xX":
+            raise error(f"expected 'x' or end of spec, found {after!r}", 3)
+        i = match.end()
     if len(atoms) == 1:
         return atoms[0]
     return Product(tuple(atoms))
@@ -267,7 +251,6 @@ def _cmd_export(args) -> int:
         lines.append("}")
         payload = "\n".join(lines) + "\n"
     elif args.format == "json":
-        report = oracle_report(graph)
         payload = _json_payload(
             {
                 "group": text,
@@ -277,16 +260,7 @@ def _cmd_export(args) -> int:
                     for v in range(graph.vertex_count)
                 ],
                 "edges": [[u, v] for u, v in graph.edges()],
-                "invariants": {
-                    "size": report.size,
-                    "girth": report.girth,
-                    "is_star": report.is_star,
-                    "is_bipartite": report.is_bipartite,
-                    "is_path": report.is_path,
-                    "radius": report.radius,
-                    "diameter": report.diameter,
-                    "chromatic_number": report.chromatic_number,
-                },
+                "invariants": dataclasses.asdict(oracle_report(graph)),
             }
         )
     else:

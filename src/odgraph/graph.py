@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -199,11 +200,11 @@ def oracle_girth(graph: ODGraph) -> int:
     """Length of a shortest cycle, 0 when the graph is acyclic.
 
     Runs on the twin quotient H, from 4 when a twin set of size at least 2
-    has degree (its neighboring twin sets' sizes added up) at least 2. BFS
-    layers from every vertex of H: a layer-i vertex with two neighbors in
-    layer i - 1 closes a cycle of length at most 2i, an edge inside layer i
-    one of at most 2i + 1, and both are exact from a root on a shortest
-    cycle. 3 is an early exit (no shorter cycle exists).
+    has degree (its neighboring twin sets' sizes added up) at least 2. A BFS
+    from every vertex of H: an edge x-y other than the tree edge into x
+    closes a cycle of length at most dist(x) + dist(y) + 1 >= 2 dist(x),
+    exact from a root on a shortest cycle, so a BFS stops once 2 dist(x)
+    reaches the shortest found. 3 is an early exit (no shorter cycle exists).
     """
     quotient, class_of = graph.twins
     adjacency = quotient.adjacency
@@ -212,24 +213,22 @@ def oracle_girth(graph: ODGraph) -> int:
         class_sizes[c] > 1 and sum(class_sizes[w] for w in neighbors) > 1
         for c, neighbors in enumerate(adjacency)
     )
-    shortest = 4 if twin_square else 0
+    shortest = 4 if twin_square else math.inf
     for root in range(quotient.vertex_count):
-        previous: set[int] = set()
-        for i, layer in enumerate(_bfs_levels(quotient, root)):
-            if len(previous) > 1 and any(
-                len(previous.intersection(adjacency[v])) > 1 for v in layer
-            ):
-                shortest = 2 * i
+        queue, dist, parent = [root], {root: 0}, {root: root}
+        for x in queue:
+            if 2 * dist[x] >= shortest:
                 break
-            if any(not layer.isdisjoint(adjacency[v]) for v in layer):
-                if i == 1:
-                    return 3
-                shortest = 2 * i + 1
-                break
-            if shortest and 2 * (i + 1) >= shortest:
-                break
-            previous = layer
-    return shortest
+            for y in adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+                elif y != parent[x]:
+                    shortest = min(shortest, dist[x] + dist[y] + 1)
+                    if shortest == 3:
+                        return 3
+    return 0 if shortest == math.inf else shortest
 
 
 def oracle_is_bipartite(graph: ODGraph) -> bool:

@@ -1,7 +1,10 @@
 """Finite group families: cyclic, dihedral, unit groups, direct products.
 
-A group is described by an immutable spec. Each spec class knows its own
-text form, order and order profile, and, for the explicit graph, the
+A group is described by an immutable spec. The three one-parameter
+families share the frozen base ``_Atom``, which holds ``n``, checks it
+and writes the text form; each family states only its spec ``letter``,
+its ``family`` name and the ``least`` n it allows. Each spec class knows
+its own order and order profile, and, for the explicit graph, the
 orders and labels of its elements, listed by canonical index so that
 reports and exports come out deterministic:
 
@@ -28,7 +31,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 from . import numtheory
 from .errors import DomainError, EnumerationBoundError
@@ -58,13 +61,6 @@ __all__ = [
 ]
 
 
-def _check_parameter(family: str, n: int, least: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"{family} group requires an int parameter, got {n!r}")
-    if n < least:
-        raise DomainError(f"{family} group requires n >= {least}, got {n}")
-
-
 def _lcm_convolution(left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
     """Profile of G x H from the profiles of G and H; DomainError when it
     would combine more than MAX_PROFILE_PAIRS pairs of classes, or once it
@@ -85,16 +81,30 @@ def _lcm_convolution(left: dict[int, int], right: dict[int, int]) -> dict[int, i
 
 
 @dataclass(frozen=True)
-class Cyclic:
-    """Additive group of residues modulo n."""
+class _Atom:
+    """A one-parameter family; subclasses add no fields, only the class
+    attributes below."""
 
     n: int
+    letter: ClassVar[str]
+    family: ClassVar[str]
+    least: ClassVar[int]
 
     def __post_init__(self):
-        _check_parameter("cyclic", self.n, 1)
+        n, family = self.n, self.family
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise DomainError(f"{family} group requires an int parameter, got {n!r}")
+        if n < self.least:
+            raise DomainError(f"{family} group requires n >= {self.least}, got {n}")
 
     def text(self) -> str:
-        return f"Z{self.n}"
+        return f"{self.letter}{self.n}"
+
+
+class Cyclic(_Atom):
+    """Additive group of residues modulo n."""
+
+    letter, family, least = "Z", "cyclic", 1
 
     def order(self) -> int:
         return self.n
@@ -118,17 +128,10 @@ class Cyclic:
         return tuple(map(str, range(self.n)))
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(_Atom):
     """Symmetries of a regular n-gon (n >= 3); the group order is 2n."""
 
-    n: int
-
-    def __post_init__(self):
-        _check_parameter("dihedral", self.n, 3)
-
-    def text(self) -> str:
-        return f"D{self.n}"
+    letter, family, least = "D", "dihedral", 3
 
     def order(self) -> int:
         return 2 * self.n
@@ -146,17 +149,10 @@ class Dihedral:
         return ("e", *powers[1:], *(power + "b" for power in powers))
 
 
-@dataclass(frozen=True)
-class Units:
+class Units(_Atom):
     """Multiplicative group of residues coprime to n (n >= 2)."""
 
-    n: int
-
-    def __post_init__(self):
-        _check_parameter("units", self.n, 2)
-
-    def text(self) -> str:
-        return f"U{self.n}"
+    letter, family, least = "U", "units", 2
 
     def order(self) -> int:
         return numtheory.euler_phi(self.n)
@@ -200,7 +196,7 @@ class Product:
         for factor in self.factors:
             if isinstance(factor, Product):
                 flat.extend(factor.factors)
-            elif isinstance(factor, (Cyclic, Dihedral, Units)):
+            elif isinstance(factor, _Atom):
                 flat.append(factor)
             else:
                 raise DomainError(f"not a group spec: {factor!r}")

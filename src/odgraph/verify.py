@@ -254,7 +254,8 @@ def verify_group(
 
 
 # the atom each family sweeps; ``product`` pairs two cyclic atoms
-_SWEEP_ATOMS = {"cyclic": Cyclic, "dihedral": Dihedral, "units": Units, "product": Cyclic}
+_SWEEP_ATOMS = {atom.family: atom for atom in (Cyclic, Dihedral, Units)}
+_SWEEP_ATOMS["product"] = Cyclic
 
 SWEEP_FAMILIES = tuple(_SWEEP_ATOMS)
 

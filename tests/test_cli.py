@@ -50,6 +50,21 @@ def test_parse_spec_constraint_errors():
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["size", "Z0"], "cyclic group requires n >= 1, got 0"),
+        (["size", "D2"], "dihedral group requires n >= 3, got 2"),
+        (["verify", "units", "1..3"], "units group requires n >= 2, got 1"),
+    ],
+)
+def test_family_floors_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "text,position",
     [
         ("", 0),
@@ -58,6 +73,12 @@ def test_parse_spec_constraint_errors():
         ("Z6y", 2),
         ("Z6x", 3),
         ("Z6xx", 3),
+        # byte offsets past a multi-byte character differ from its index
+        ("Z6\u3000y", 5),
+        ("Z6x\u3000", 6),
+        ("\u00e9", 0),
+        ("Z\u0661", 1),
+        ("Z \u00e9", 2),
     ],
 )
 def test_parse_spec_syntax_errors(text, position):

@@ -91,6 +91,12 @@ def test_constructor_bounds():
         Product((Cyclic(5),))
 
 
+def test_families_with_one_parameter_are_distinct():
+    atoms = [Cyclic(3), Dihedral(3), Units(3)]
+    assert all(a != b for a, b in itertools.combinations(atoms, 2))
+    assert len(set(atoms)) == 3
+
+
 def test_product_flattens_nesting():
     nested = Product((Cyclic(2), Product((Cyclic(3), Cyclic(5)))))
     assert nested.factors == (Cyclic(2), Cyclic(3), Cyclic(5))
