@@ -105,14 +105,6 @@ def parse_spec(text: str) -> GroupSpec:
     return Product(tuple(atoms))
 
 
-def _emit(payload: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-
-
 def _json_payload(data: Any) -> str:
     return json.dumps(data, indent=2) + "\n"
 
@@ -163,7 +155,7 @@ def _degree_rows(spec: GroupSpec, args) -> list[dict[str, Any]]:
     ]
 
 
-def _cmd_degrees(args) -> int:
+def _cmd_degrees(args) -> tuple[str, int]:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
     rows = _degree_rows(spec, args)
@@ -180,32 +172,28 @@ def _cmd_degrees(args) -> int:
                 ["order", "count", "formula", "oracle"],
                 [[cell or "-" for cell in row] for row in cells],
             )
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def _scalar_command(args, spec: GroupSpec, name: str, value: int) -> int:
+def _scalar_command(args, spec: GroupSpec, name: str, value: int) -> tuple[str, int]:
     if args.format == "json":
-        payload = _json_payload({"group": format_spec(spec), name: value})
-    else:
-        payload = f"{value}\n"
-    _emit(payload, args.out)
-    return 0
+        return _json_payload({"group": format_spec(spec), name: value}), 0
+    return f"{value}\n", 0
 
 
-def _cmd_size(args) -> int:
+def _cmd_size(args) -> tuple[str, int]:
     spec = parse_spec(args.spec)
     closed_forms = family_formulas(spec, formulas)
     value = closed_forms[1]() if closed_forms else size_via_profile(order_profile(spec))
     return _scalar_command(args, spec, "size", value)
 
 
-def _cmd_girth(args) -> int:
+def _cmd_girth(args) -> tuple[str, int]:
     spec = parse_spec(args.spec)
     return _scalar_command(args, spec, "girth", formulas.girth_of_group(spec))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, int]:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
     profile = order_profile(spec)
@@ -233,11 +221,10 @@ def _cmd_classify(args) -> int:
             f"path={_bool_text(path)}\n"
             f"profile={profile_text}\n"
         )
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> tuple[str, int]:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
     graph = build_graph(spec, args.enum_bound)
@@ -259,7 +246,7 @@ def _cmd_export(args) -> int:
                     {"id": v, "label": labels[v], "order": graph.orders[v]}
                     for v in range(graph.vertex_count)
                 ],
-                "edges": [[u, v] for u, v in graph.edges()],
+                "edges": graph.edges(),
                 "invariants": dataclasses.asdict(oracle_report(graph)),
             }
         )
@@ -268,8 +255,7 @@ def _cmd_export(args) -> int:
             ["source", "target", "source_label", "target_label"],
             ([u, v, labels[u], labels[v]] for u, v in graph.edges()),
         )
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
 _RANGE_PATTERN = re.compile(r"([0-9]+)\.\.([0-9]+)")
@@ -282,7 +268,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     return _decimal(match.group(1)), _decimal(match.group(2))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     lo, hi = _parse_range(args.range)
     report = sweep(args.family, lo, hi, enum_bound=args.enum_bound)
     if args.format == "json":
@@ -295,8 +281,7 @@ def _cmd_verify(args) -> int:
         for key, value in report.notes.items():
             lines.append(f"note {key}={value}")
         payload = "\n".join(lines) + "\n"
-    _emit(payload, args.out)
-    return 0 if report.passed else 1
+    return payload, 0 if report.passed else 1
 
 
 def non_negative_int(text: str) -> int:
@@ -324,7 +309,7 @@ _ENUM_BOUND = (
 )
 
 # name, help, handler, and the arguments in order; every command also
-# takes --out
+# takes --out. A handler returns (output text, exit code) and does no I/O.
 _COMMANDS = (
     (
         "degrees",
@@ -379,22 +364,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # written only once the handler returns: a failure creates no --out file
     try:
-        return args.handler(args)
+        payload, code = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(payload)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(payload)
     except (SpecSyntaxError, SpecConstraintError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EnumerationBoundError as exc:
+    except (EnumerationBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return code
 
 
 if __name__ == "__main__":

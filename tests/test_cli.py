@@ -400,6 +400,15 @@ def test_verify_past_the_instance_cap_fails_fast(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_verify_reports_instances_past_the_bound_as_failures(capsys):
+    assert main(["verify", "cyclic", "4..7", "--enum-bound", "5"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cyclic 4..7: 2/4 pass",
+        "FAIL Z6: group order 6 exceeds the enumeration bound 5",
+        "FAIL Z7: group order 7 exceeds the enumeration bound 5",
+    ]
+
+
 def test_verify_usage_errors(capsys):
     assert main(["verify", "cyclic", "5..3"]) == 2
     assert main(["verify", "cyclic", "5-3"]) == 2
@@ -522,6 +531,15 @@ def test_out_failure_is_runtime_error(tmp_path, capsys):
     target = tmp_path / "missing" / "size.txt"
     assert main(["size", "Z6", "--out", str(target)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_export_past_the_bound_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "g.dot"
+    assert main(["export", "Z6", "--enum-bound", "5", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group order 6 exceeds the enumeration bound 5\n"
+    assert not target.exists()
 
 
 def test_bad_spec_is_usage_error(capsys):

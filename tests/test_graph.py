@@ -297,6 +297,14 @@ def test_build_graph_z6():
     assert [len(neighbors) for neighbors in graph.adjacency] == [5, 4, 3, 3, 3, 4]
 
 
+def test_class_degrees_names_the_first_disagreeing_vertex():
+    graph = ODGraph(orders=(1, 2, 2), adjacency=((1, 2), (0,), ()))
+    assert class_degrees(graph) == (
+        {1: 2, 2: 1},
+        "vertices of order 2 disagree: degree 1 vs 0 (vertex 2)",
+    )
+
+
 def test_build_graph_degenerate():
     graph = build_graph(Cyclic(1))
     assert graph.vertex_count == 1
