@@ -60,13 +60,16 @@ _FAMILY_LETTERS = {atom.letter: atom for atom in (Cyclic, Dihedral, Units)}
 # next atom or nothing at the end of the spec; \s is str.isspace()
 _ATOM = re.compile(r"\s*(.?)\s*([0-9]*)\s*(.?)", re.DOTALL)
 
+# the interpreter's int-to-str digit limit, where it has one (3.10.7 on)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
 
 def _decimal(digits: str) -> int:
-    """int() of ASCII digits; past Python's digit limit, a DomainError."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise DomainError(f"number too long: {len(digits)} digits") from None
+    """int() of ASCII digits; past 4300 of them, a DomainError."""
+    if len(digits) > 4300:
+        raise DomainError(f"number too long: {len(digits)} digits")
+    return int(digits)
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -368,7 +371,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # written only once the handler returns: a failure creates no --out file
+    # written only once the handler returns: a failure creates no --out file;
+    # answers print in full, so the digit limit is lifted until then
+    limit = _digit_limit()
+    _set_digit_limit(0)
     try:
         payload, code = args.handler(args)
         if args.out is None:
@@ -382,6 +388,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EnumerationBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _set_digit_limit(limit)
     return code
 
 

@@ -38,7 +38,7 @@ from .errors import DomainError, EnumerationBoundError
 
 DEFAULT_ENUMERATION_BOUND = 100_000
 
-# most order classes of a product's profile (k distinct primes give 2**k)
+# most order classes of any profile (k distinct primes give 2**k)
 MAX_PROFILE_CLASSES = 2**16
 # most class pairs one lcm-convolution step may combine, about a second
 MAX_PROFILE_PAIRS = 2**22
@@ -110,8 +110,12 @@ class Cyclic(_Atom):
         return self.n
 
     def profile(self) -> dict[int, int]:
-        # phi(d) from the primes of n, so no divisor is factorized again
-        primes = [p for p, _ in numtheory.factorize(self.n)]
+        # d(n) classes, counted before any divisor is listed; phi(d) from the
+        # primes of n, so no divisor is factorized again
+        factors = numtheory.factorize(self.n)
+        if math.prod(k + 1 for _, k in factors) > MAX_PROFILE_CLASSES:
+            raise DomainError(f"order profile has over {MAX_PROFILE_CLASSES} classes")
+        primes = [p for p, _ in factors]
         profile = {}
         for d in numtheory.divisors(self.n):
             profile[d] = d

@@ -1,6 +1,7 @@
 """CLI: spec grammar, output formats, exit codes."""
 
 import contextlib
+import decimal
 import io
 import json
 import os
@@ -169,6 +170,19 @@ def test_profile_past_the_class_cap_fails_fast(capsys):
     assert captured.err.startswith("error: ")
     assert "65536 classes" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cyclic_profile_past_the_class_cap_fails_fast(capsys):
+    # the product of the primes up to 59: 2**17 divisors, one class each,
+    # refused before any divisor is listed
+    numtheory.factorize.cache_clear()
+    numtheory.divisors.cache_clear()
+    start = time.perf_counter()
+    assert main(["size", "Z1922760350154212639070"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "65536 classes" in captured.err
 
 
 def test_profile_past_the_pair_cap_fails_fast(capsys):
@@ -458,17 +472,46 @@ def test_no_command_takes_a_chromatic_bound(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["size", "Z" + "9" * 5000], ["verify", "cyclic", "1.." + "9" * 5000]],
-    ids=["spec", "range"],
+    "argv, digits",
+    [
+        (["size", "Z" + "9" * 5000], 5000),
+        (["verify", "cyclic", "1.." + "9" * 5000], 5000),
+        (["size", "Z" + "1" * 4301], 4301),
+    ],
+    ids=["spec", "range", "one_past_the_bound"],
 )
-def test_overlong_numbers_are_usage_errors(argv, capsys):
-    # past Python's 4300-digit limit on int() of a string
+def test_overlong_numbers_are_usage_errors(argv, digits, capsys):
+    # spec and range numbers stop at 4300 digits, Python's default limit
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: number too long: 5000 digits")
-    assert "Traceback" not in captured.err
+    assert captured.err == f"error: number too long: {digits} digits\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_answers_past_the_int_to_str_digit_limit_print_in_full(fmt, capsys):
+    # the paper's size of Z_{p^k}, (p^{2k} - 1)/(p + 1), has 4335 digits here
+    expected = str(decimal.Decimal((4**7200 - 1) // 3))
+    assert main(["size", f"Z{2**7200}", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out, parse_int=str)["size"] == expected
+    else:
+        assert out == expected + "\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize("argv", [["size", "Z6"], ["size", "Z0"], ["size", "--bogus"]])
+def test_main_restores_the_int_to_str_digit_limit(argv, capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        main(argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("span", ["\u0661..\u0663", "1..3\n", "1..3 ", "+1..3"])

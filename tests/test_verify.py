@@ -63,8 +63,8 @@ def test_verify_units_and_product():
     assert verify_group(Units(24)).passed
     result = verify_group(Product((Cyclic(2), Cyclic(3))))
     assert result.passed
-    rule = check_by_name(result, "girth_product_rule")
-    assert rule.formula == 3 and rule.oracle == 3
+    girth = check_by_name(result, "girth")
+    assert girth.formula == 3 and girth.oracle == 3
 
 
 def test_verify_respects_enumeration_bound():
@@ -95,6 +95,23 @@ def test_first_mismatch_reporting():
     assert not bad.passed
     assert bad.first_mismatch.startswith("size_formula")
     assert "11" in bad.first_mismatch
+
+
+def test_star_equivalence_names_the_first_fact_that_disagrees(monkeypatch):
+    honest = graph.oracle_is_bipartite
+    monkeypatch.setattr(graph, "oracle_is_bipartite", lambda g: not honest(g))
+    result = verify_group(Cyclic(2))
+    assert result.first_mismatch == "star_equivalence: bipartite: formula True != oracle False"
+    check = check_by_name(result, "star_equivalence")
+    assert check.formula == {"acyclic": True, "bipartite": True, "star": True}
+
+
+def test_a_check_with_a_problem_fails_even_when_both_sides_agree():
+    check = verify._compare("degrees_profile", {1: 0}, {1: 0}, "problem")
+    assert not check.passed
+    assert check.detail == "problem"
+    assert check.to_dict()["pass"] is False
+    assert verify._compare("size_profile", 3, 3).to_dict()["pass"] is True
 
 
 def test_sweep_cyclic_counts():
@@ -225,11 +242,6 @@ FAULTS = {
     "size_profile": (verify, "size_via_profile", off_by_one),
     "size_formula": (FormulaSuite, "size_zn", off_by_one),
     "girth": (formulas, "girth_from_profile", lambda honest: lambda p: 3 - honest(p)),
-    "girth_product_rule": (
-        formulas,
-        "girth_of_product",
-        lambda honest: lambda a, b: 3 - honest(a, b),
-    ),
     "star_equivalence": (
         graph,
         "oracle_is_bipartite",
