@@ -247,15 +247,20 @@ def oracle_is_bipartite(graph: ODGraph) -> bool:
     return True
 
 
-def oracle_is_star(graph: ODGraph) -> bool:
-    """One hub adjacent to everything else, all other vertices of degree 1.
-
-    A single vertex counts as the degenerate star; the degree multiset
-    criterion below covers it (and forces connectivity via the hub).
-    """
+def _has_degrees(graph: ODGraph, degrees: list[int]) -> bool:
+    """Connected, with this sorted degree sequence. The degrees are compared
+    first, so the BFS from vertex 0 runs only on a match."""
     n = graph.vertex_count
-    degrees = sorted(len(neighbors) for neighbors in graph.adjacency)
-    return degrees == [1] * (n - 1) + [n - 1]
+    return sorted(map(len, graph.adjacency)) == degrees and 0 < n == sum(
+        map(len, _bfs_levels(graph, 0))
+    )
+
+
+def oracle_is_star(graph: ODGraph) -> bool:
+    """One hub adjacent to every other vertex, each of those of degree 1; a
+    single vertex counts as the degenerate star."""
+    n = graph.vertex_count
+    return _has_degrees(graph, [1] * (n - 1) + [n - 1])
 
 
 def oracle_is_path(graph: ODGraph) -> bool:
@@ -264,23 +269,12 @@ def oracle_is_path(graph: ODGraph) -> bool:
     A single vertex is treated as a degenerate star rather than a path, so
     the path shape characterizes exactly the groups with 2 or 3 elements.
     """
-    n = graph.vertex_count
-    if n < 2:
-        return False
-    degrees = sorted(len(neighbors) for neighbors in graph.adjacency)
-    if degrees != [1, 1] + [2] * (n - 2):
-        return False
-    return sum(map(len, _bfs_levels(graph, 0))) == n
+    return _has_degrees(graph, [1, 1] + [2] * (graph.vertex_count - 2))
 
 
 def oracle_is_cycle_graph(graph: ODGraph) -> bool:
-    """Connected, 2-regular, with as many edges as vertices."""
-    n = graph.vertex_count
-    if n < 3:
-        return False
-    if any(len(neighbors) != 2 for neighbors in graph.adjacency):
-        return False
-    return graph.edge_count == n and sum(map(len, _bfs_levels(graph, 0))) == n
+    """Connected and 2-regular, so a cycle on at least 3 vertices."""
+    return _has_degrees(graph, [2] * graph.vertex_count)
 
 
 def _k_colorable(

@@ -35,6 +35,7 @@ __all__ = [
     "DEFAULT_SUITE",
     "FormulaSuite",
     "MAX_SWEEP_INSTANCES",
+    "MAX_SWEEP_VERTICES",
     "SWEEP_FAMILIES",
     "SweepReport",
     "VerificationResult",
@@ -117,7 +118,6 @@ def _compare(
 class VerificationResult:
     """All checks for one group instance."""
 
-    spec: GroupSpec
     spec_text: str
     group_order: int
     checks: tuple[CheckResult, ...]
@@ -174,73 +174,54 @@ def verify_group(
     try:
         graph = build_graph(spec, enum_bound)
     except EnumerationBoundError as exc:
-        return VerificationResult(spec, text, order, checks=(), error=str(exc))
+        return VerificationResult(text, order, checks=(), error=str(exc))
     profile = order_profile(spec)
     report = oracle_report(graph)
-    checks: list[CheckResult] = []
-
-    # order profile: closed form vs per-element recount
-    recount = dict(Counter(graph.orders))
-    checks.append(_compare("order_profile", dict(profile), recount))
-
-    # degree per order class, profile route vs explicit graph
-    profile_degrees = degree_via_profile(profile)
     oracle_degrees, problem = class_degrees(graph)
-    checks.append(_compare("degrees_profile", profile_degrees, oracle_degrees, problem))
-
-    closed_forms = family_formulas(spec, suite)
-    if closed_forms is not None:
-        family_degrees = {m: closed_forms[0](m) for m in profile}
-        checks.append(_compare("degrees_formula", family_degrees, oracle_degrees))
-
-    # edge counts
-    checks.append(_compare("size_profile", size_via_profile(profile), report.size))
-    if closed_forms is not None:
-        checks.append(_compare("size_formula", closed_forms[1](), report.size))
-
-    # girth: 3 exactly when some realized order is composite
-    checks.append(_compare("girth", formulas.girth_from_profile(profile), report.girth))
-
+    degree, size = family_formulas(spec, suite) or (None, None)
+    chromatic = report.chromatic_number
+    primes = numtheory.factorize(order) if isinstance(spec, Cyclic) else ()
+    prime_power = primes[0] if len(primes) == 1 else None
     # acyclic, bipartite and a star each hold exactly when the profile's
     # star rule (every non-identity order prime) does
-    oracle_side = {
+    shapes = {
         "acyclic": report.girth == 0,
         "bipartite": report.is_bipartite,
         "star": report.is_star,
     }
-    formula_side = dict.fromkeys(oracle_side, formulas.is_star_profile(profile))
-    checks.append(_compare("star_equivalence", formula_side, oracle_side))
-
-    checks.append(_compare("path_rule", formulas.is_path_group(spec), report.is_path))
-
-    # the identity is adjacent to everything: radius 1, diameter at most 2
-    expected = [min(order - 1, 1), min(order - 1, 2)]
-    checks.append(
-        _compare("radius_diameter", expected, [report.radius, report.diameter])
+    star_rule = dict.fromkeys(shapes, formulas.is_star_profile(profile))
+    # (name, formula side, oracle side[, problem]); a side is None where the
+    # check does not apply, and a check exists exactly where both sides do
+    rows = [
+        ("order_profile", dict(profile), dict(Counter(graph.orders))),
+        ("degrees_profile", degree_via_profile(profile), oracle_degrees, problem),
+        ("degrees_formula", degree and {m: degree(m) for m in profile}, oracle_degrees),
+        ("size_profile", size_via_profile(profile), report.size),
+        ("size_formula", size and size(), report.size),
+        # girth: 3 exactly when some realized order is composite
+        ("girth", formulas.girth_from_profile(profile), report.girth),
+        ("star_equivalence", star_rule, shapes),
+        ("path_rule", formulas.is_path_group(spec), report.is_path),
+        # the identity is adjacent to everything: radius 1, diameter at most 2
+        ("radius_diameter", [min(order - 1, 1), min(order - 1, 2)],
+         [report.radius, report.diameter]),
+        ("not_a_cycle", False if order >= 3 else None, oracle_is_cycle_graph(graph)),
+        # the longest divisor chain, wherever the oracle colored the graph
+        ("chromatic", chromatic and formulas.chromatic_from_profile(profile),
+         chromatic),
+        # the paper's closed forms for Z_{p^k}, k >= 1
+        ("prime_power", prime_power and formulas.prime_power_identities(*prime_power),
+         prime_power and {
+             "degrees": oracle_degrees,
+             "degree_sum": sum(map(len, graph.adjacency)),
+             "order_sum": sum(graph.orders),
+             "size": report.size,
+         }),
+    ]
+    checks = tuple(
+        _compare(*row) for row in rows if row[1] is not None and row[2] is not None
     )
-
-    if order >= 3:
-        checks.append(_compare("not_a_cycle", False, oracle_is_cycle_graph(graph)))
-
-    # the longest divisor chain, wherever the oracle colored the graph
-    if report.chromatic_number is not None:
-        chromatic = formulas.chromatic_from_profile(profile)
-        checks.append(_compare("chromatic", chromatic, report.chromatic_number))
-
-    # the paper's closed forms for Z_{p^k}, k >= 1
-    primes = numtheory.factorize(order) if isinstance(spec, Cyclic) else ()
-    if len(primes) == 1:
-        [(p, k)] = primes
-        measured = {
-            "degrees": oracle_degrees,
-            "degree_sum": sum(map(len, graph.adjacency)),
-            "order_sum": sum(graph.orders),
-            "size": report.size,
-        }
-        identities = formulas.prime_power_identities(p, k)
-        checks.append(_compare("prime_power", identities, measured))
-
-    return VerificationResult(spec, text, order, tuple(checks))
+    return VerificationResult(text, order, checks)
 
 
 # the atom each family sweeps; ``product`` pairs two cyclic atoms
@@ -252,6 +233,11 @@ SWEEP_FAMILIES = tuple(_SWEEP_ATOMS)
 # most instances one sweep verifies (hi - lo + 1, squared for ``product``);
 # a longer range is refused before any spec is built
 MAX_SWEEP_INSTANCES = 100_000
+
+# most vertices one sweep builds, summed over the instances within the
+# enumeration bound (past it an instance fails without a graph); about a
+# minute for the slowest family, refused before any graph is built
+MAX_SWEEP_VERTICES = 10**7
 
 
 def _sweep_specs(family: str, lo: int, hi: int) -> list[GroupSpec]:
@@ -322,9 +308,16 @@ def sweep(
 
     For ``product`` the range applies to both cyclic factors, covering all
     Z_a x Z_b with lo <= a, b <= hi. Instances whose order exceeds the
-    enumeration bound are reported as failures, not raised.
+    enumeration bound are reported as failures, not raised. A range past
+    MAX_SWEEP_INSTANCES instances, or past MAX_SWEEP_VERTICES vertices
+    within the bound, raises DomainError before any graph is built.
     """
     specs = _sweep_specs(family, lo, hi)
+    vertices = sum(o for o in (spec.order() for spec in specs) if o <= enum_bound)
+    if vertices > MAX_SWEEP_VERTICES:
+        raise DomainError(
+            f"{family} {lo}..{hi} spans {vertices} vertices, over {MAX_SWEEP_VERTICES}"
+        )
     results = tuple(
         verify_group(spec, suite=suite, enum_bound=enum_bound) for spec in specs
     )

@@ -145,6 +145,20 @@ def test_oracle_star_path_cycle_recognizers():
     assert not oracle_is_cycle_graph(two_triangles)
 
 
+def test_shape_recognizers_search_only_on_a_degree_match(monkeypatch):
+    decoy = graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+
+    def no_search(graph, root):
+        raise AssertionError("BFS ran")
+
+    monkeypatch.setattr("odgraph.graph._bfs_levels", no_search)
+    for recognizer in (oracle_is_star, oracle_is_path, oracle_is_cycle_graph):
+        assert not recognizer(build_graph(Cyclic(12)))
+        assert not recognizer(graph_from_edges(0, []))
+    with pytest.raises(AssertionError, match="BFS ran"):
+        oracle_is_path(decoy)
+
+
 def test_oracle_chromatic_known_graphs():
     assert oracle_chromatic_number(complete_graph(4)) == 4
     assert oracle_chromatic_number(cycle_graph(5)) == 3

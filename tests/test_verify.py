@@ -9,7 +9,7 @@ import pytest
 from odgraph import formulas, graph, verify
 from odgraph.errors import DomainError
 from odgraph.formulas import deg_zn
-from odgraph.groups import Cyclic, Dihedral, Product, Units
+from odgraph.groups import Cyclic, Dihedral, Product, Units, format_spec
 from odgraph.numtheory import euler_phi
 from odgraph.verify import (
     DEFAULT_SUITE,
@@ -72,6 +72,33 @@ def test_verify_respects_enumeration_bound():
     assert result.error is not None
     assert not result.passed
     assert result.checks == ()
+
+
+# every check, in report order; each spec below drops the ones whose sides
+# do not both apply
+ALL_CHECKS = (
+    "order_profile degrees_profile degrees_formula size_profile size_formula girth "
+    "star_equivalence path_rule radius_diameter not_a_cycle chromatic prime_power"
+).split()
+NO_CLOSED_FORMS = {"degrees_formula", "size_formula"}
+APPLICABILITY = [
+    # one vertex: no cycle shape to rule out; the order 1 is no prime power
+    (Cyclic(1), {"not_a_cycle", "prime_power"}),
+    (Cyclic(8), set()),
+    (Dihedral(4), {"prime_power"}),
+    (Units(24), NO_CLOSED_FORMS | {"prime_power"}),
+    (Product((Cyclic(2), Cyclic(3))), NO_CLOSED_FORMS | {"prime_power"}),
+    # 72 twin-quotient vertices, past CHROMATIC_BOUND: left uncolored
+    (Cyclic(10080), {"chromatic", "prime_power"}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, missing", APPLICABILITY, ids=[format_spec(spec) for spec, _ in APPLICABILITY]
+)
+def test_a_check_exists_exactly_where_both_sides_apply(spec, missing):
+    names = [check.name for check in verify_group(spec).checks]
+    assert names == [name for name in ALL_CHECKS if name not in missing]
 
 
 @pytest.mark.parametrize("spec", [Units(15), Product((Cyclic(2), Cyclic(4)))])
@@ -160,6 +187,18 @@ def test_sweep_instance_cap_is_exact():
     assert len(_sweep_specs("product", 1, side)) == side**2
     with pytest.raises(DomainError, match="instances"):
         _sweep_specs("product", 1, side + 1)
+
+
+def test_sweep_vertex_cap_counts_instances_within_the_bound(monkeypatch):
+    # Z_1..Z_10 have 55 vertices in all; the cap is inclusive
+    monkeypatch.setattr(verify, "MAX_SWEEP_VERTICES", 55)
+    assert sweep("cyclic", 1, 10).passed
+    monkeypatch.setattr(verify, "MAX_SWEEP_VERTICES", 54)
+    with pytest.raises(DomainError, match="cyclic 1..10 spans 55 vertices"):
+        sweep("cyclic", 1, 10)
+    # Z_6..Z_10 lie past the bound: they fail without a graph, and cost none
+    monkeypatch.setattr(verify, "MAX_SWEEP_VERTICES", 15)
+    assert sweep("cyclic", 1, 10, enum_bound=5).passed_count == 5
 
 
 def test_sweep_serialization_is_deterministic():
