@@ -51,7 +51,10 @@ from .groups import (
 )
 from .verify import SWEEP_FAMILIES, family_formulas, sweep
 
-__all__ = ["main", "parse_spec"]
+__all__ = ["MAX_EXPORT_EDGES", "main", "parse_spec"]
+
+# export lists every edge; past this many it refuses before listing any
+MAX_EXPORT_EDGES = 2**21
 
 _FAMILY_LETTERS = {atom.letter: atom for atom in (Cyclic, Dihedral, Units)}
 
@@ -231,6 +234,9 @@ def _cmd_export(args) -> tuple[str, int]:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
     graph = build_graph(spec, args.enum_bound)
+    edges = graph.edge_count
+    if edges > MAX_EXPORT_EDGES:
+        raise DomainError(f"OD({text}) has {edges} edges, over {MAX_EXPORT_EDGES}")
     labels = element_labels(spec, args.enum_bound)
     if args.format == "dot":
         lines = [f'graph "OD({text})" {{']

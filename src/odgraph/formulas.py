@@ -28,6 +28,7 @@ from .groups import (
     Dihedral,
     GroupSpec,
     OrderProfile,
+    Product,
     group_order,
     order_profile,
 )
@@ -194,11 +195,16 @@ def size_via_profile(profile: OrderProfile) -> int:
 
 
 def is_star_profile(orders: Iterable[int]) -> bool:
-    """The star and girth rule: True when no realized order is composite.
-    A composite order m forces a triangle: the identity, an element of
-    order m and one of prime order p | m. With every order prime, no two
-    non-identity orders divide one another: a star."""
-    return not any(numtheory.is_composite(m) for m in orders)
+    """The star and girth rule: True when no realized order above 1 (each
+    given once) divides another. Such a pair and the identity form a
+    triangle; with none, only the identity has neighbours."""
+    seen: list[int] = []  # the orders above 1 so far, ascending
+    for m in sorted(orders):
+        if any(m % k == 0 for k in seen):
+            return False
+        if m > 1:
+            seen.append(m)
+    return True
 
 
 def girth_from_profile(profile: OrderProfile) -> int:
@@ -213,25 +219,12 @@ def girth_of_group(spec: GroupSpec) -> int:
 
 
 def girth_of_product(left: GroupSpec, right: GroupSpec) -> int:
-    """Girth of the order-divisor graph of a direct product of two groups.
-
-    The graph has a triangle exactly when either factor realizes a
-    composite order, or the factors realize two distinct primes.
-    """
-    left_profile = order_profile(left)
-    right_profile = order_profile(right)
-    if not (is_star_profile(left_profile) and is_star_profile(right_profile)):
-        return 3
-    # no composite order: every non-identity order is prime
-    left_primes = set(left_profile) - {1}
-    right_primes = set(right_profile) - {1}
-    if left_primes and right_primes and len(left_primes | right_primes) >= 2:
-        return 3
-    return 0
+    """Girth of the order-divisor graph of a direct product of two groups."""
+    return girth_of_group(Product((left, right)))
 
 
 def is_star_group(spec: GroupSpec) -> bool:
-    """True when every non-identity element order is prime."""
+    """True when the order-divisor graph is a star (see ``is_star_profile``)."""
     return is_star_profile(order_profile(spec))
 
 

@@ -183,7 +183,7 @@ def verify_group(
     primes = numtheory.factorize(order) if isinstance(spec, Cyclic) else ()
     prime_power = primes[0] if len(primes) == 1 else None
     # acyclic, bipartite and a star each hold exactly when the profile's
-    # star rule (every non-identity order prime) does
+    # star rule (no realized order above 1 divides another) does
     shapes = {
         "acyclic": report.girth == 0,
         "bipartite": report.is_bipartite,
@@ -198,7 +198,7 @@ def verify_group(
         ("degrees_formula", degree and {m: degree(m) for m in profile}, oracle_degrees),
         ("size_profile", size_via_profile(profile), report.size),
         ("size_formula", size and size(), report.size),
-        # girth: 3 exactly when some realized order is composite
+        # girth: 3 exactly when one realized order above 1 divides another
         ("girth", formulas.girth_from_profile(profile), report.girth),
         ("star_equivalence", star_rule, shapes),
         ("path_rule", formulas.is_path_group(spec), report.is_path),

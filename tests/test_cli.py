@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odgraph import numtheory
+from odgraph import cli, numtheory
 from odgraph.cli import main, parse_spec
 from odgraph.errors import SpecConstraintError, SpecSyntaxError
 from odgraph.groups import Cyclic, Dihedral, Product, Units, format_spec
@@ -583,6 +583,33 @@ def test_export_past_the_bound_writes_nothing(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: group order 6 exceeds the enumeration bound 5\n"
     assert not target.exists()
+
+
+def test_export_at_the_edge_cap_writes(monkeypatch, capsys):
+    # OD(Z6) has 11 edges
+    monkeypatch.setattr(cli, "MAX_EXPORT_EDGES", 11)
+    assert main(["export", "Z6"]) == 0
+    assert capsys.readouterr().out.count(" -- ") == 11
+
+
+def test_export_past_the_edge_cap_writes_nothing(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "MAX_EXPORT_EDGES", 10)
+    target = tmp_path / "g.dot"
+    assert main(["export", "Z6", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OD(Z6) has 11 edges, over 10\n"
+    assert not target.exists()
+
+
+def test_export_past_the_edge_cap_fails_fast(capsys):
+    # 3,331,705,729 edges pass the enumeration bound but are never listed
+    start = time.perf_counter()
+    assert main(["export", "Z100000"]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OD(Z100000) has 3331705729 edges, over 2097152\n"
 
 
 def test_bad_spec_is_usage_error(capsys):

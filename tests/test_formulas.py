@@ -21,6 +21,7 @@ from odgraph.graph import build_graph, class_degrees, oracle_girth, oracle_is_st
 from odgraph.groups import (
     Cyclic,
     Dihedral,
+    OrderProfile,
     Product,
     Units,
     element_orders,
@@ -302,7 +303,12 @@ def test_girth_matches_oracle_small_sweep():
 def test_girth_composite_clause_subsumes_divisibility_clause():
     # a divisor pair of distinct non-identity orders makes the larger one
     # composite, so the composite-order rule alone decides the girth
-    for spec in [Cyclic(n) for n in range(1, 121)] + [Dihedral(n) for n in range(3, 61)]:
+    specs = [Cyclic(n) for n in range(1, 121)] + [Dihedral(n) for n in range(3, 61)]
+    specs += [Units(n) for n in range(2, 201)]
+    specs += [
+        Product((Cyclic(a), Cyclic(b))) for a in range(1, 13) for b in range(1, 13)
+    ]
+    for spec in specs:
         profile = order_profile(spec)
         composite_only = 3 if any(m > 1 and not is_prime(m) for m in profile) else 0
         assert girth_from_profile(profile) == composite_only
@@ -323,6 +329,14 @@ def test_girth_of_product_matches_group_girth():
             left, right = Cyclic(a), Cyclic(b)
             product = Product((left, right))
             assert girth_of_product(left, right) == girth_of_group(product)
+
+
+def test_star_rule_reads_divisibility_not_primality():
+    # 4 is composite, but no realized order above 1 divides another: the
+    # graph is K_{1,3}
+    profile = OrderProfile({1: 1, 4: 3})
+    assert is_star_profile(profile)
+    assert girth_from_profile(profile) == 0
 
 
 def test_pq_order_girth_dichotomy():

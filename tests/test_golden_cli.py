@@ -41,6 +41,11 @@ COMMANDS = [
         for family, span in [("cyclic", "1..12"), ("units", "2..30"), ("product", "1..4")]
         for extra in ([], ["--format", "json"])
     ),
+    *(
+        [command, spec, "--format", "json"]
+        for spec in SPECS
+        for command in ("size", "girth")
+    ),
 ]
 
 

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from odgraph import numtheory
+from odgraph.cli import main
 from odgraph.errors import DomainError, EnumerationBoundError
 from odgraph.groups import (
     Cyclic,
@@ -223,6 +224,17 @@ def test_cyclic_profile_factorizes_only_n():
     numtheory.factorize.cache_clear()
     numtheory.divisors.cache_clear()
     Cyclic(299999999999886).profile()  # 2 * 3 * 49999999999981
+    assert numtheory.factorize.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("command", ["girth", "classify"])
+@pytest.mark.parametrize("spec", ["Z100000000000106", "D100000000000106"])
+def test_star_rule_factorizes_only_the_parameter(command, spec):
+    # 2 * 50000000000053: the star rule reads the profile and factorizes
+    # no realized order
+    numtheory.factorize.cache_clear()
+    numtheory.divisors.cache_clear()
+    assert main([command, spec]) == 0
     assert numtheory.factorize.cache_info().misses == 1
 
 
