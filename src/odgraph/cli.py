@@ -140,10 +140,12 @@ def _bool_text(flag: bool) -> str:
 
 def _degree_rows(spec: GroupSpec, args) -> list[dict[str, Any]]:
     profile = order_profile(spec)
-    oracle_degrees: Optional[dict[int, int]] = None
-    # past the bound the oracle column is left out
-    if group_order(spec) <= args.enum_bound:
+    oracle_degrees: Optional[dict[int, int]]
+    try:
         oracle_degrees, _ = class_degrees(build_graph(spec, args.enum_bound))
+    except EnumerationBoundError:
+        # past the enumeration bound or a graph limit the oracle column is left out
+        oracle_degrees = None
     # looked up on the module per call, so a patched formula takes effect
     closed_forms = family_formulas(spec, formulas)
     if closed_forms is None:

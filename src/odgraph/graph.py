@@ -32,15 +32,22 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import DomainError
+from .errors import DomainError, EnumerationBoundError
 from .groups import DEFAULT_ENUMERATION_BOUND, GroupSpec, element_orders
 
 # most twin-quotient vertices the exact coloring search takes; past it the
 # search grows too fast (96 quotient vertices already take seconds)
 CHROMATIC_BOUND = 64
+# most vertices build_graph enumerates, whatever the enumeration bound
+MAX_GRAPH_VERTICES = 2**20
+# most neighbor entries build_graph stores, |G| x (classes - 1) at most; a
+# group of at most 10**5 elements has at most 128 orders, so stays within it
+MAX_GRAPH_ENTRIES = 2**24
 
 __all__ = [
     "CHROMATIC_BOUND",
+    "MAX_GRAPH_ENTRIES",
+    "MAX_GRAPH_VERTICES",
     "InvariantReport",
     "ODGraph",
     "build_graph",
@@ -119,11 +126,26 @@ def build_graph(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> ODGr
 
     All vertices of one order share a single immutable neighbor tuple: the
     vertices of every other order that divides or is divided by theirs.
+    Raises EnumerationBoundError past the bound, past MAX_GRAPH_VERTICES
+    vertices (before any element is listed), or past MAX_GRAPH_ENTRIES
+    neighbor entries (before any neighbor tuple is built).
     """
+    vertices = spec.order()
+    # a group past the bound gets the bound's own message from element_orders
+    if bound >= vertices > MAX_GRAPH_VERTICES:
+        raise EnumerationBoundError(
+            f"OD({spec.text()}) has {vertices} vertices, over {MAX_GRAPH_VERTICES}"
+        )
     orders = element_orders(spec, bound)
     classes: dict[int, list[int]] = {}
     for v, order in enumerate(orders):
         classes.setdefault(order, []).append(v)
+    entries = len(orders) * (len(classes) - 1)
+    if entries > MAX_GRAPH_ENTRIES:
+        raise EnumerationBoundError(
+            f"OD({spec.text()}) needs up to {entries} neighbor entries, "
+            f"over {MAX_GRAPH_ENTRIES}"
+        )
     neighbors: dict[int, tuple[int, ...]] = {}
     for m in classes:
         comparable = (

@@ -111,6 +111,9 @@ def test_parse_spec_round_trips_format_spec(spec):
 def test_size_text(capsys):
     assert main(["size", "Z6"]) == 0
     assert capsys.readouterr().out == "11\n"
+    # letters in either case, whitespace around and inside the product
+    assert main(["size", " z6 X d3 "]) == 0
+    assert capsys.readouterr().out == "335\n"
 
 
 def test_size_json(capsys):
@@ -401,7 +404,13 @@ def test_verify_json(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "cyclic", "1000000..40000000"], ["verify", "product", "1..1000"]]
+    "argv",
+    [
+        ["verify", "cyclic", "1000000..40000000"],
+        ["verify", "product", "1..1000"],
+        # within the instance cap, past the vertex budget
+        ["verify", "cyclic", "1..100000"],
+    ],
 )
 def test_verify_past_the_instance_cap_fails_fast(argv, capsys):
     start = time.perf_counter()
@@ -410,7 +419,7 @@ def test_verify_past_the_instance_cap_fails_fast(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert "instances" in captured.err
+    assert ("vertices" if argv[2] == "1..100000" else "instances") in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -612,6 +621,30 @@ def test_export_past_the_edge_cap_fails_fast(capsys):
     assert captured.err == "error: OD(Z100000) has 3331705729 edges, over 2097152\n"
 
 
+@pytest.mark.parametrize("spec", ["Z720720", "Z1441440"], ids=["entries", "vertices"])
+def test_degrees_past_a_graph_limit_print_no_oracle_column(spec, capsys):
+    start = time.perf_counter()
+    assert main(["degrees", spec, "--enum-bound", "2000000", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows and all(row["degree_oracle"] is None for row in rows)
+
+
+def test_export_and_verify_past_the_graph_entry_limit_fail(tmp_path, capsys):
+    # 720720 elements in 240 order classes: 720720 * 239 entries at most
+    error = "OD(Z720720) needs up to 172252080 neighbor entries, over 16777216"
+    target = tmp_path / "g.dot"
+    assert main(["export", "Z720720", "--enum-bound", "1000000", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert not target.exists()
+    assert main(["verify", "cyclic", "720720..720720", "--enum-bound", "1000000"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cyclic 720720..720720: 0/1 pass",
+        f"FAIL Z720720: {error}",
+    ]
+
+
 def test_bad_spec_is_usage_error(capsys):
     assert main(["girth", "Z6y"]) == 2
     assert main(["girth", "D2"]) == 2
@@ -628,7 +661,8 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-m", "odgraph", "size", "Z6"],
+        # -S keeps site-packages off the path: the runtime needs only the stdlib
+        [sys.executable, "-S", "-W", "error", "-m", "odgraph", "size", "Z6"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "11\n", "")

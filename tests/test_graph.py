@@ -16,6 +16,8 @@ from odgraph.formulas import (
     size_via_profile,
 )
 from odgraph.graph import (
+    MAX_GRAPH_ENTRIES,
+    MAX_GRAPH_VERTICES,
     ODGraph,
     build_graph,
     class_degrees,
@@ -29,6 +31,7 @@ from odgraph.graph import (
     oracle_report,
 )
 from odgraph.groups import (
+    DEFAULT_ENUMERATION_BOUND,
     Cyclic,
     Dihedral,
     Product,
@@ -340,6 +343,42 @@ def test_build_graph_d5():
 def test_build_graph_respects_bound():
     with pytest.raises(EnumerationBoundError):
         build_graph(Cyclic(1000), bound=100)
+
+
+def test_build_graph_entry_limit_is_exact(monkeypatch):
+    # Z12 has 6 order classes: 12 * 5 neighbor entries at most
+    monkeypatch.setattr("odgraph.graph.MAX_GRAPH_ENTRIES", 60)
+    assert build_graph(Cyclic(12)).vertex_count == 12
+    monkeypatch.setattr("odgraph.graph.MAX_GRAPH_ENTRIES", 59)
+    with pytest.raises(EnumerationBoundError, match="OD\\(Z12\\) needs up to 60"):
+        build_graph(Cyclic(12))
+
+
+def test_build_graph_vertex_limit_lists_no_element(monkeypatch):
+    monkeypatch.setattr("odgraph.graph.MAX_GRAPH_VERTICES", 11)
+    # a group past the enumeration bound keeps the bound's message
+    with pytest.raises(EnumerationBoundError, match="exceeds the enumeration bound 5"):
+        build_graph(Cyclic(12), bound=5)
+
+    def no_listing(*args):
+        raise AssertionError("element_orders called past the vertex limit")
+
+    monkeypatch.setattr("odgraph.graph.element_orders", no_listing)
+    with pytest.raises(EnumerationBoundError, match="OD\\(Z12\\) has 12 vertices"):
+        build_graph(Cyclic(12))
+
+
+def test_graph_limits_refuse_no_group_within_the_default_bound():
+    # every element order divides |G|, so a group has at most max d(m)
+    # order classes over m <= the bound
+    divisor_counts = [0] * (DEFAULT_ENUMERATION_BOUND + 1)
+    for d in range(1, DEFAULT_ENUMERATION_BOUND + 1):
+        for m in range(d, DEFAULT_ENUMERATION_BOUND + 1, d):
+            divisor_counts[m] += 1
+    most_classes = max(divisor_counts)
+    assert most_classes == 128
+    assert DEFAULT_ENUMERATION_BOUND <= MAX_GRAPH_VERTICES
+    assert DEFAULT_ENUMERATION_BOUND * (most_classes - 1) <= MAX_GRAPH_ENTRIES
 
 
 def test_adjacency_rule_brute_force():
