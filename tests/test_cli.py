@@ -129,13 +129,23 @@ def test_girth_text(capsys):
 
 
 def test_size_past_the_factorization_ceiling_fails_fast(capsys):
+    # 10000019 * 10000079: past 10**14, with no prime factor below 10**7
     start = time.perf_counter()
-    assert main(["size", "Z1000000000000000003"]) == 2
+    assert main(["size", "Z100000980001501"]) == 2
     assert time.perf_counter() - start < 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: cannot factor 1000000000000000003")
+    assert captured.err.startswith("error: cannot factor 100000980001501")
     assert "Traceback" not in captured.err
+
+
+def test_size_at_a_large_prime_order_is_fast(capsys):
+    # 10**18 + 3 is prime: Miller-Rabin proves it without trial division
+    numtheory.factorize.cache_clear()
+    start = time.perf_counter()
+    assert main(["size", "Z1000000000000000003"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == "1000000000000000002\n"
 
 
 def test_size_at_a_divisor_rich_order_is_fast(capsys):

@@ -1,6 +1,7 @@
 """Number-theory primitives, checked against brute-force oracles."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,31 @@ from odgraph.numtheory import (
 def phi_oracle(n: int) -> int:
     """Count coprime residues directly."""
     return sum(1 for x in range(1, n + 1) if math.gcd(x, n) == 1)
+
+
+def factorize_oracle(n: int) -> tuple[tuple[int, int], ...]:
+    """Divide by 2 and by every odd number up to the square root."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def random_prime(rng: random.Random, lo: int, hi: int) -> int:
+    """A prime in [lo, hi), proved by the trial-division oracle."""
+    while True:
+        q = rng.randrange(lo, hi)
+        if factorize_oracle(q) == ((q, 1),):
+            return q
 
 
 def order_oracle(x: int, n: int) -> int:
@@ -115,6 +141,35 @@ def test_factorize_up_to_the_trial_division_ceiling():
     # past 10**14 a number still factors when its large cofactor is prime
     assert factorize(2**70) == ((2, 70),)
     assert factorize(2**5 * 99999999999973) == ((2, 5), (99999999999973, 1))
+    # a prime cofactor past 10**14 is proved prime by Miller-Rabin
+    assert factorize(10**18 + 3) == ((10**18 + 3, 1),)
+    assert factorize(2**61 - 1) == ((2**61 - 1, 1),)
+    assert factorize(2**5 * (10**18 + 9)) == ((2, 5), (10**18 + 9, 1))
+    assert factorize(1000003 * (2**61 - 1)) == ((1000003, 1), (2**61 - 1, 1))
+
+
+def test_factorize_matches_trial_division_below_200000():
+    try:
+        for n in range(1, 200_000):
+            assert factorize(n) == factorize_oracle(n)
+    finally:
+        factorize.cache_clear()
+
+
+def test_factorize_matches_trial_division_on_random_numbers():
+    rng = random.Random(0)
+    for _ in range(100):
+        n = rng.randrange(1, 10**13)
+        assert factorize(n) == factorize_oracle(n)
+
+
+def test_factorize_finds_a_prime_near_10_6_beside_a_large_prime():
+    # trial division finds p; the cofactor q is then accepted by Miller-Rabin
+    rng = random.Random(1)
+    for _ in range(10):
+        p = random_prime(rng, 10**6 - 10**5, 10**6 + 10**5)
+        q = random_prime(rng, 10**7, 10**11)
+        assert factorize(p * q) == ((p, 1), (q, 1))
 
 
 @pytest.mark.parametrize(
@@ -122,6 +177,11 @@ def test_factorize_up_to_the_trial_division_ceiling():
     [
         (10000019**2, 10000019**2),  # square of the first prime past 10**7
         (6 * 10000019 * 10000079, 10000019 * 10000079),
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to every
+        # base 2..37: only base 41 shows it composite
+        (318665857834031151167461, 318665857834031151167461),
+        # a Mersenne prime past the deterministic Miller-Rabin limit
+        (2**89 - 1, 2**89 - 1),
     ],
 )
 def test_factorize_refuses_past_the_ceiling(n, cofactor):
@@ -134,6 +194,10 @@ def test_primality_small_values():
     assert is_prime(2) and not is_composite(2)
     assert is_prime(7) and not is_composite(7)
     assert not is_prime(9) and is_composite(9)
+    # Carmichael numbers, and 151 * 751 * 28351, a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n) and is_composite(n)
 
 
 def test_primality_versus_divisor_count():
