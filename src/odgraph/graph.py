@@ -3,9 +3,9 @@
 The order-divisor graph of a finite group has one vertex per element; two
 distinct vertices are adjacent exactly when their element orders differ
 and one order divides the other. Everything in this module is computed
-directly on the explicit graph (breadth-first layers, backtracking search),
-so it can serve as an independent oracle for the closed-form results
-elsewhere in the package.
+directly on the explicit graph (breadth-first layers, a coloring certified
+by a clique of its size), so it can serve as an independent oracle for
+the closed-form results elsewhere in the package.
 
 Adjacency depends only on element orders, so every vertex of one order has
 the same neighbors and no two of them are adjacent. ``build_graph`` builds
@@ -19,7 +19,11 @@ graph from the explicit adjacency. A shortest cycle through two twins u,
 u' shortens to the 4-cycle u, a, u', b, so the girth is H's, or 4 if
 smaller and some twin set of size at least 2 has degree at least 2. All
 twins can take one color, so the graph is bipartite exactly when H is,
-and H has the graph's chromatic number, found by exact backtracking.
+and H has the graph's chromatic number. It is certified, not searched
+for: a greedy coloring of H in (order, index) order, whose back-pointers
+give a clique with as many vertices as the coloring has colors. A vertex
+adjacent to all others, such as the identity, gives every eccentricity
+without a search.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from typing import Iterator, Optional
 from .errors import DomainError, EnumerationBoundError
 from .groups import DEFAULT_ENUMERATION_BOUND, GroupSpec, element_orders
 
-# most twin-quotient vertices the exact coloring search takes; past it the
-# search grows too fast (96 quotient vertices already take seconds)
+# most twin-quotient vertices the exact coloring search takes, which runs
+# only where the greedy clique certificate fails (never on an order-divisor
+# graph); past it the search grows too fast (96 vertices take seconds)
 CHROMATIC_BOUND = 64
 # most vertices build_graph enumerates, whatever the enumeration bound
 MAX_GRAPH_VERTICES = 2**20
@@ -196,15 +201,23 @@ def _bfs_levels(graph: ODGraph, root: int) -> Iterator[set[int]]:
 
 
 def eccentricities(graph: ODGraph) -> list[int]:
-    """BFS eccentricity of every vertex; raises on disconnected graphs.
+    """Eccentricity of every vertex; raises on disconnected graphs.
 
-    Twins are never adjacent and share their neighbors, so distances between
-    representatives are the same in the twin quotient H as in the graph, and
-    a vertex with a twin is at distance 2 from it. The BFS runs on H: a
-    representative's eccentricity is its eccentricity in H, at least 2 when
-    it has a twin, and the graph is connected when H is and no vertex of a
-    graph with more than one vertex is isolated.
+    A graph on n > 1 vertices with a vertex of degree n - 1 needs no search:
+    each such universal vertex has eccentricity 1, and every other vertex 2,
+    since it misses some vertex and reaches every vertex through a universal
+    one. Otherwise a BFS runs on the twin quotient H. Twins are never
+    adjacent and share their neighbors, so distances between
+    representatives are the same in H as in the graph, and a vertex with a
+    twin is at distance 2 from it: a representative's eccentricity is its
+    eccentricity in H, at least 2 when it has a twin, and the graph is
+    connected when H is and no vertex of a graph with more than one vertex
+    is isolated.
     """
+    n = graph.vertex_count
+    degrees = list(map(len, graph.adjacency))
+    if n > 1 and n - 1 in degrees:
+        return [1 if d == n - 1 else 2 for d in degrees]
     quotient, class_of = graph.twins
     class_sizes = Counter(class_of)
     ecc_of_class = []
@@ -270,11 +283,14 @@ def oracle_is_bipartite(graph: ODGraph) -> bool:
 
 
 def _has_degrees(graph: ODGraph, degrees: list[int]) -> bool:
-    """Connected, with this sorted degree sequence. The degrees are compared
-    first, so the BFS from vertex 0 runs only on a match."""
+    """Connected, with this sorted degree sequence. The degree sums are
+    compared first, then the sorted degrees, so the sort runs only on a
+    matching sum and the BFS from vertex 0 only on matching degrees."""
     n = graph.vertex_count
-    return sorted(map(len, graph.adjacency)) == degrees and 0 < n == sum(
-        map(len, _bfs_levels(graph, 0))
+    return (
+        sum(map(len, graph.adjacency)) == sum(degrees)
+        and sorted(map(len, graph.adjacency)) == degrees
+        and 0 < n == sum(map(len, _bfs_levels(graph, 0)))
     )
 
 
@@ -323,13 +339,36 @@ def _k_colorable(
 
 
 def oracle_chromatic_number(graph: ODGraph) -> Optional[int]:
-    """Exact chromatic number by backtracking; None when the twin quotient
-    has more than CHROMATIC_BOUND vertices.
+    """Exact chromatic number, certified by a coloring and a clique of the
+    same size; None when neither that nor the bounded search settles it.
 
-    Runs on the subgraph induced by the twin representatives, which has the
-    same chromatic number: each twin takes its representative's color.
+    Runs on the twin quotient H, which has the same chromatic number: each
+    twin takes its representative's color. H's vertices, in (order, index)
+    order, each take 1 + the largest color among their earlier neighbors,
+    which is proper on every edge whatever the order. Back-pointers to those
+    neighbors, from a vertex of the top color, give one vertex per color;
+    when H's adjacency makes them a clique, no fewer colors suffice. Orders
+    only break ties, so the certificate reads the explicit graph alone (on
+    an order-divisor graph the chain is a divisor chain, hence a clique).
+    Otherwise an exact search runs on H of at most CHROMATIC_BOUND vertices.
     """
-    adjacency = graph.twins[0].adjacency
+    quotient = graph.twins[0]
+    adjacency = quotient.adjacency
+    color = [0] * len(adjacency)
+    below: list[Optional[int]] = [None] * len(adjacency)
+    for v in sorted(range(len(adjacency)), key=lambda v: (quotient.orders[v], v)):
+        below[v] = max(
+            (w for w in adjacency[v] if color[w]), key=color.__getitem__, default=None
+        )
+        color[v] = 1 if below[v] is None else color[below[v]] + 1
+    top = max(range(len(color)), key=color.__getitem__, default=None)
+    chain = []
+    while top is not None:
+        chain.append(top)
+        top = below[top]
+    clique = set(chain)
+    if all(clique.issubset((v, *adjacency[v])) for v in chain):
+        return len(chain)
     if len(adjacency) > CHROMATIC_BOUND:
         return None
     order = sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v]))

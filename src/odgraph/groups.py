@@ -12,7 +12,8 @@ reports and exports come out deterministic:
 * ``Dihedral(n)`` -- indices ``0..n-1`` are the rotations ``a^i``, indices
   ``n..2n-1`` are the reflections ``a^(i-n) b``.
 * ``Units(n)``    -- index ``i`` is the ``i``-th residue coprime to ``n``,
-  residues taken in ascending order.
+  residues taken in ascending order; orders are read off walks x, x^2, ...
+  by multiplication modulo ``n``, at most one walk per cyclic subgroup.
 * ``Product``     -- mixed-radix index over the factors, first factor most
   significant.
 
@@ -178,12 +179,24 @@ class Units(_Atom):
         return [x for x in range(1, self.n) if math.gcd(x, self.n) == 1]
 
     def element_orders(self) -> tuple[int, ...]:
-        # every order divides phi(n), so phi(n) and its primes are shared
-        phi = self.order()
-        primes = [p for p, _ in numtheory.factorize(phi)]
-        return tuple(
-            numtheory._reduce_order(x, self.n, phi, primes) for x in self._residues()
-        )
+        # walk x, x^2, ..., x^m = 1 from each residue with no order yet and
+        # give x^k its order m / gcd(k, m); a walk starts only where no
+        # generator of <x> has an order yet, so no cyclic subgroup is
+        # walked twice
+        n = self.n
+        residues = self._residues()
+        order_of = [0] * n
+        for x in residues:
+            if order_of[x]:
+                continue
+            powers = [x]
+            while powers[-1] != 1:
+                powers.append(powers[-1] * x % n)
+            m = len(powers)
+            for k, y in enumerate(powers, 1):
+                if not order_of[y]:
+                    order_of[y] = m // math.gcd(k, m)
+        return tuple(map(order_of.__getitem__, residues))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(map(str, self._residues()))

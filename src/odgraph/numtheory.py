@@ -147,17 +147,9 @@ def multiplicative_order(x: int, n: int) -> int:
         raise DomainError(f"multiplicative order needs gcd(x, n) == 1, got gcd = {g}")
     if n == 1:
         return 1
+    # x**phi(n) == 1; divide out each prime while the power stays 1
     t = euler_phi(n)
-    return _reduce_order(x, n, t, [p for p, _ in factorize(t)])
-
-
-def _reduce_order(x: int, n: int, t: int, primes: list[int]) -> int:
-    """Order of x modulo n, given x**t == 1 (mod n) and the primes of t.
-
-    Divides t by each prime while x**(t/p) is still 1, which leaves the
-    least such exponent; callers that share n compute t and primes once.
-    """
-    for p in primes:
+    for p, _ in factorize(t):
         while t % p == 0 and pow(x, t // p, n) == 1:
             t //= p
     return t

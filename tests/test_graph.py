@@ -16,6 +16,7 @@ from odgraph.formulas import (
     size_via_profile,
 )
 from odgraph.graph import (
+    CHROMATIC_BOUND,
     MAX_GRAPH_ENTRIES,
     MAX_GRAPH_VERTICES,
     ODGraph,
@@ -169,13 +170,25 @@ def test_oracle_chromatic_known_graphs():
     assert oracle_chromatic_number(path_graph(3)) == 2
     assert oracle_chromatic_number(star_graph(8)) == 2
     assert oracle_chromatic_number(graph_from_edges(3, [])) == 1
-    # past CHROMATIC_BOUND twin-quotient vertices (K65 has no twins)
-    assert oracle_chromatic_number(complete_graph(65)) is None
+    # the greedy coloring's chain is a clique: certified at any size
+    assert oracle_chromatic_number(complete_graph(65)) == 65
+    # an odd cycle's chain is no clique, and C65 has no twins, so the search
+    # would run past CHROMATIC_BOUND twin-quotient vertices
+    assert oracle_chromatic_number(cycle_graph(65)) is None
 
 
 def test_chromatic_bound_counts_twin_quotient_vertices():
     # 840 elements, but 32 order classes: chain 1 | 2 | 4 | 8 | 24 | 120 | 840
     assert oracle_chromatic_number(build_graph(Cyclic(840))) == 7
+
+
+@pytest.mark.parametrize("n", [10080, 27720, 98280])
+def test_chromatic_is_certified_past_the_search_bound(n):
+    # 72, 96 and 128 twin-quotient vertices, all past CHROMATIC_BOUND
+    spec = Cyclic(n)
+    graph = build_graph(spec)
+    assert graph.twins[0].vertex_count > CHROMATIC_BOUND
+    assert oracle_chromatic_number(graph) == chromatic_from_profile(order_profile(spec))
 
 
 def test_eccentricities_known_graphs():
@@ -224,6 +237,21 @@ def test_eccentricities_match_naive_bfs(n, data):
     edges.extend((u, v) for u, v in extra if u != v)
     graph = graph_from_edges(n, edges)
     assert eccentricities(graph) == naive_eccentricities(graph)
+
+
+@st.composite
+def with_universal_vertex(draw) -> ODGraph:
+    """A random graph with one vertex adjacent to all others inserted at a
+    random index."""
+    base = draw(small_graphs())
+    hub = draw(st.integers(min_value=0, max_value=base.vertex_count))
+
+    def moved(v: int) -> int:
+        return v + (v >= hub)
+
+    edges = [(moved(u), moved(v)) for u, v in base.edges()]
+    edges += [(hub, moved(v)) for v in range(base.vertex_count)]
+    return graph_from_edges(base.vertex_count + 1, edges)
 
 
 @st.composite
@@ -302,6 +330,12 @@ def test_oracles_match_naive_on_random_graphs(graph):
             eccentricities(graph)
     else:
         assert eccentricities(graph) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(with_universal_vertex())
+def test_eccentricities_with_a_universal_vertex_match_naive_bfs(graph):
+    assert eccentricities(graph) == naive_eccentricities(graph)
 
 
 # --- explicit order-divisor graphs -----------------------------------------
@@ -449,7 +483,7 @@ def test_oracle_report_builds_the_twin_quotient_once(monkeypatch):
     counted = functools.cached_property(counting)
     counted.__set_name__(ODGraph, "twins")
     monkeypatch.setattr(ODGraph, "twins", counted)
-    # within the chromatic bound, so every structural oracle asks for it
+    # girth, bipartiteness and the chromatic number each ask for it
     graph = build_graph(Cyclic(12))
     report = oracle_report(graph)
     assert report.chromatic_number is not None

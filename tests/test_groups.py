@@ -260,6 +260,13 @@ def test_profile_matches_enumeration_units():
         assert order_profile(spec) == Counter(element_orders(spec)), n
 
 
+def test_units_element_orders_match_multiplicative_order():
+    # the power walks against a reduction of phi(n) by pow, per residue
+    for n in range(2, 2000):
+        expected = tuple(numtheory.multiplicative_order(x, n) for x in units_oracle(n))
+        assert element_orders(Units(n)) == expected, n
+
+
 def test_profile_matches_enumeration_products():
     specs = [
         *(Product((Cyclic(a), Cyclic(b))) for a in range(1, 25) for b in range(1, 25)),

@@ -88,8 +88,8 @@ APPLICABILITY = [
     (Dihedral(4), {"prime_power"}),
     (Units(24), NO_CLOSED_FORMS | {"prime_power"}),
     (Product((Cyclic(2), Cyclic(3))), NO_CLOSED_FORMS | {"prime_power"}),
-    # 72 twin-quotient vertices, past CHROMATIC_BOUND: left uncolored
-    (Cyclic(10080), {"chromatic", "prime_power"}),
+    # 72 twin-quotient vertices, past CHROMATIC_BOUND, yet certified
+    (Cyclic(10080), {"prime_power"}),
 ]
 
 
@@ -99,6 +99,25 @@ APPLICABILITY = [
 def test_a_check_exists_exactly_where_both_sides_apply(spec, missing):
     names = [check.name for check in verify_group(spec).checks]
     assert names == [name for name in ALL_CHECKS if name not in missing]
+
+
+def test_sweep_ranges_are_colored_without_the_search(monkeypatch):
+    # the ranges the benchmark's sweep workload draws from
+    specs = [
+        *(Cyclic(n) for n in range(1, 204)),
+        *(Dihedral(n) for n in range(3, 110)),
+        *(Units(n) for n in range(2, 401)),
+        *(Product((Cyclic(a), Cyclic(b))) for a in range(1, 20) for b in range(1, 20)),
+    ]
+
+    def no_search(*args):
+        raise AssertionError("the coloring search ran")
+
+    monkeypatch.setattr(graph, "_k_colorable", no_search)
+    for spec in specs:
+        result = verify_group(spec)
+        assert result.passed, result.first_mismatch
+        check_by_name(result, "chromatic")
 
 
 @pytest.mark.parametrize("spec", [Units(15), Product((Cyclic(2), Cyclic(4)))])
