@@ -12,18 +12,22 @@ the same neighbors and no two of them are adjacent. ``build_graph`` builds
 one sorted neighbor tuple per order class and every vertex of that class
 points to it, so memory grows with vertices times order classes, not with
 edges. Vertices with identical neighbor sets (twins) are never adjacent
-and are interchangeable for distances and colorings, so every structural
-oracle runs on the twin quotient H (``ODGraph.twins``), the subgraph
-induced by one representative per set of twins, built at most once per
-graph from the explicit adjacency. A shortest cycle through two twins u,
-u' shortens to the 4-cycle u, a, u', b, so the girth is H's, or 4 if
-smaller and some twin set of size at least 2 has degree at least 2. All
-twins can take one color, so the graph is bipartite exactly when H is,
-and H has the graph's chromatic number. It is certified, not searched
-for: a greedy coloring of H in (order, index) order, whose back-pointers
-give a clique with as many vertices as the coloring has colors. A vertex
-adjacent to all others, such as the identity, gives every eccentricity
-without a search.
+and are interchangeable for distances and colorings, so girth,
+bipartiteness and the chromatic number run on the twin quotient H
+(``ODGraph.twins``), the subgraph induced by one representative per set
+of twins, built at most once per graph from the explicit adjacency. A
+shortest cycle through two twins u, u' shortens to the 4-cycle u, a, u',
+b, so the girth is H's, or 4 if smaller and some twin set of size at least
+2 has degree at least 2. All twins can take one color, so the graph is
+bipartite exactly when H is, and H has the graph's chromatic number.
+
+Two oracles read a certificate that only an order-divisor graph is sure to
+carry, and raise DomainError on a graph without it. The chromatic number
+comes from a greedy coloring of H in (order, index) order, whose
+back-pointers give a clique with as many vertices as the coloring has
+colors; on an order-divisor graph they form a divisor chain. The
+eccentricities come from a vertex adjacent to all others, such as the
+identity.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ from typing import Iterator, Optional
 from .errors import DomainError, EnumerationBoundError
 from .groups import DEFAULT_ENUMERATION_BOUND, GroupSpec, element_orders
 
-# most twin-quotient vertices the exact coloring search takes, which runs
-# only where the greedy clique certificate fails (never on an order-divisor
-# graph); past it the search grows too fast (96 vertices take seconds)
-CHROMATIC_BOUND = 64
 # most vertices build_graph enumerates, whatever the enumeration bound
 MAX_GRAPH_VERTICES = 2**20
 # most neighbor entries build_graph stores, |G| x (classes - 1) at most; a
@@ -50,7 +50,6 @@ MAX_GRAPH_VERTICES = 2**20
 MAX_GRAPH_ENTRIES = 2**24
 
 __all__ = [
-    "CHROMATIC_BOUND",
     "MAX_GRAPH_ENTRIES",
     "MAX_GRAPH_VERTICES",
     "InvariantReport",
@@ -201,34 +200,21 @@ def _bfs_levels(graph: ODGraph, root: int) -> Iterator[set[int]]:
 
 
 def eccentricities(graph: ODGraph) -> list[int]:
-    """Eccentricity of every vertex; raises on disconnected graphs.
+    """Eccentricity of every vertex, read off a universal vertex.
 
-    A graph on n > 1 vertices with a vertex of degree n - 1 needs no search:
-    each such universal vertex has eccentricity 1, and every other vertex 2,
-    since it misses some vertex and reaches every vertex through a universal
-    one. Otherwise a BFS runs on the twin quotient H. Twins are never
-    adjacent and share their neighbors, so distances between
-    representatives are the same in H as in the graph, and a vertex with a
-    twin is at distance 2 from it: a representative's eccentricity is its
-    eccentricity in H, at least 2 when it has a twin, and the graph is
-    connected when H is and no vertex of a graph with more than one vertex
-    is isolated.
+    On n > 1 vertices, each vertex of degree n - 1 has eccentricity 1, and
+    every other vertex 2, since it misses some vertex and reaches every
+    vertex through a universal one. A single vertex has eccentricity 0.
+    Raises DomainError when no vertex is universal, which the identity of
+    every order-divisor graph is.
     """
     n = graph.vertex_count
     degrees = list(map(len, graph.adjacency))
-    if n > 1 and n - 1 in degrees:
-        return [1 if d == n - 1 else 2 for d in degrees]
-    quotient, class_of = graph.twins
-    class_sizes = Counter(class_of)
-    ecc_of_class = []
-    for i in range(quotient.vertex_count):
-        sizes = [len(layer) for layer in _bfs_levels(quotient, i)]
-        if sum(sizes) != quotient.vertex_count or (
-            len(sizes) == 1 and graph.vertex_count > 1
-        ):
-            raise DomainError("graph is disconnected; eccentricities are undefined")
-        ecc_of_class.append(max(len(sizes) - 1, 2 if class_sizes[i] > 1 else 0))
-    return [ecc_of_class[c] for c in class_of]
+    if n == 1:
+        return [0]
+    if n - 1 not in degrees:
+        raise DomainError("no vertex is adjacent to all others; no eccentricities")
+    return [1 if d == n - 1 else 2 for d in degrees]
 
 
 def oracle_girth(graph: ODGraph) -> int:
@@ -315,32 +301,9 @@ def oracle_is_cycle_graph(graph: ODGraph) -> bool:
     return _has_degrees(graph, [2] * graph.vertex_count)
 
 
-def _k_colorable(
-    adjacency: tuple[tuple[int, ...], ...], order: list[int], k: int
-) -> bool:
-    n = len(order)
-    colors: dict[int, int] = {}
-
-    def assign(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        taken = {colors[w] for w in adjacency[v] if w in colors}
-        # symmetry break: allow at most one color not used so far
-        for c in range(min(k, used + 1)):
-            if c not in taken:
-                colors[v] = c
-                if assign(i + 1, max(used, c + 1)):
-                    return True
-                del colors[v]
-        return False
-
-    return assign(0, 0)
-
-
-def oracle_chromatic_number(graph: ODGraph) -> Optional[int]:
+def oracle_chromatic_number(graph: ODGraph) -> int:
     """Exact chromatic number, certified by a coloring and a clique of the
-    same size; None when neither that nor the bounded search settles it.
+    same size; DomainError when the coloring carries no such clique.
 
     Runs on the twin quotient H, which has the same chromatic number: each
     twin takes its representative's color. H's vertices, in (order, index)
@@ -350,7 +313,6 @@ def oracle_chromatic_number(graph: ODGraph) -> Optional[int]:
     when H's adjacency makes them a clique, no fewer colors suffice. Orders
     only break ties, so the certificate reads the explicit graph alone (on
     an order-divisor graph the chain is a divisor chain, hence a clique).
-    Otherwise an exact search runs on H of at most CHROMATIC_BOUND vertices.
     """
     quotient = graph.twins[0]
     adjacency = quotient.adjacency
@@ -367,12 +329,9 @@ def oracle_chromatic_number(graph: ODGraph) -> Optional[int]:
         chain.append(top)
         top = below[top]
     clique = set(chain)
-    if all(clique.issubset((v, *adjacency[v])) for v in chain):
-        return len(chain)
-    if len(adjacency) > CHROMATIC_BOUND:
-        return None
-    order = sorted(range(len(adjacency)), key=lambda v: -len(adjacency[v]))
-    return next(k for k in itertools.count() if _k_colorable(adjacency, order, k))
+    if not all(clique.issubset((v, *adjacency[v])) for v in chain):
+        raise DomainError("the coloring's chain is no clique; no chromatic number")
+    return len(chain)
 
 
 @dataclass(frozen=True)
@@ -386,7 +345,7 @@ class InvariantReport:
     is_path: bool
     radius: int
     diameter: int
-    chromatic_number: Optional[int]
+    chromatic_number: int
 
 
 def oracle_report(graph: ODGraph) -> InvariantReport:

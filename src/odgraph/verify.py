@@ -3,8 +3,9 @@
 Every group instance is checked along two independent routes: closed
 formulas and order-profile arithmetic on one side, brute-force
 computation on the explicit graph on the other. Mismatches are collected
-rather than raised, so a sweep across a parameter range always runs to
-completion and reports deterministically.
+rather than raised, and a graph past the enumeration bound or without an
+oracle's certificate fails its instance with an error, so a sweep across
+a parameter range always runs to completion and reports deterministically.
 """
 
 from __future__ import annotations
@@ -173,13 +174,12 @@ def verify_group(
     order = group_order(spec)
     try:
         graph = build_graph(spec, enum_bound)
-    except EnumerationBoundError as exc:
+        report = oracle_report(graph)
+    except (EnumerationBoundError, DomainError) as exc:
         return VerificationResult(text, order, checks=(), error=str(exc))
     profile = order_profile(spec)
-    report = oracle_report(graph)
     oracle_degrees, problem = class_degrees(graph)
     degree, size = family_formulas(spec, suite) or (None, None)
-    chromatic = report.chromatic_number
     primes = numtheory.factorize(order) if isinstance(spec, Cyclic) else ()
     prime_power = primes[0] if len(primes) == 1 else None
     # acyclic, bipartite and a star each hold exactly when the profile's
@@ -206,9 +206,9 @@ def verify_group(
         ("radius_diameter", [min(order - 1, 1), min(order - 1, 2)],
          [report.radius, report.diameter]),
         ("not_a_cycle", False if order >= 3 else None, oracle_is_cycle_graph(graph)),
-        # the longest divisor chain, wherever the oracle colored the graph
-        ("chromatic", chromatic and formulas.chromatic_from_profile(profile),
-         chromatic),
+        # the longest divisor chain, against the oracle's certified coloring
+        ("chromatic", formulas.chromatic_from_profile(profile),
+         report.chromatic_number),
         # the paper's closed forms for Z_{p^k}, k >= 1
         ("prime_power", prime_power and formulas.prime_power_identities(*prime_power),
          prime_power and {

@@ -220,7 +220,7 @@ def test_criterion_7_metric_and_shape_consequences():
 def test_criterion_8_chromatic_measurement():
     with criterion(
         8,
-        "exact coloring of the Z6 graph measures chromatic number 3, the "
+        "a certified coloring of the Z6 graph measures chromatic number 3, the "
         "longest divisor chain, not the order plus one; verify checks it",
     ):
         measured = oracle_chromatic_number(graph_of(Cyclic(6)))

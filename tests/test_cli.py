@@ -442,6 +442,23 @@ def test_verify_reports_instances_past_the_bound_as_failures(capsys):
     ]
 
 
+def test_an_oracle_without_a_certificate_fails_its_instance(monkeypatch, capsys):
+    # an identity of order 5 in Z6 is adjacent to nothing, so no vertex of
+    # its graph is universal and the eccentricities have no certificate
+    honest = Cyclic.element_orders
+
+    def broken(self):
+        orders = honest(self)
+        return (5,) + orders[1:] if self.n == 6 else orders
+
+    monkeypatch.setattr(Cyclic, "element_orders", broken)
+    assert main(["verify", "cyclic", "1..8"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cyclic 1..8: 7/8 pass",
+        "FAIL Z6: no vertex is adjacent to all others; no eccentricities",
+    ]
+
+
 def test_verify_usage_errors(capsys):
     assert main(["verify", "cyclic", "5..3"]) == 2
     assert main(["verify", "cyclic", "5-3"]) == 2
@@ -483,7 +500,7 @@ def test_formula_commands_take_no_enum_bound(command, capsys):
     ids=["export", "verify"],
 )
 def test_no_command_takes_a_chromatic_bound(argv, capsys):
-    # the coloring search is bounded by a constant on the twin quotient
+    # the chromatic number is certified, never searched for, so no bound
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

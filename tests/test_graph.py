@@ -16,7 +16,6 @@ from odgraph.formulas import (
     size_via_profile,
 )
 from odgraph.graph import (
-    CHROMATIC_BOUND,
     MAX_GRAPH_ENTRIES,
     MAX_GRAPH_VERTICES,
     ODGraph,
@@ -165,39 +164,45 @@ def test_shape_recognizers_search_only_on_a_degree_match(monkeypatch):
 
 def test_oracle_chromatic_known_graphs():
     assert oracle_chromatic_number(complete_graph(4)) == 4
-    assert oracle_chromatic_number(cycle_graph(5)) == 3
-    assert oracle_chromatic_number(cycle_graph(6)) == 2
+    # twins collapse these to one edge or one vertex, whose chain is a clique
     assert oracle_chromatic_number(path_graph(3)) == 2
     assert oracle_chromatic_number(star_graph(8)) == 2
+    assert oracle_chromatic_number(complete_bipartite_graph(3, 3)) == 2
     assert oracle_chromatic_number(graph_from_edges(3, [])) == 1
     # the greedy coloring's chain is a clique: certified at any size
     assert oracle_chromatic_number(complete_graph(65)) == 65
-    # an odd cycle's chain is no clique, and C65 has no twins, so the search
-    # would run past CHROMATIC_BOUND twin-quotient vertices
-    assert oracle_chromatic_number(cycle_graph(65)) is None
+    # a cycle's chain is no clique, so no chromatic number is claimed
+    for graph in (cycle_graph(5), cycle_graph(6), cycle_graph(65)):
+        with pytest.raises(DomainError, match="no clique"):
+            oracle_chromatic_number(graph)
 
 
-def test_chromatic_bound_counts_twin_quotient_vertices():
+def test_chromatic_colors_the_twin_quotient():
     # 840 elements, but 32 order classes: chain 1 | 2 | 4 | 8 | 24 | 120 | 840
-    assert oracle_chromatic_number(build_graph(Cyclic(840))) == 7
+    graph = build_graph(Cyclic(840))
+    assert graph.twins[0].vertex_count == 32
+    assert oracle_chromatic_number(graph) == 7
 
 
-@pytest.mark.parametrize("n", [10080, 27720, 98280])
+QUOTIENT_SIZES = {10080: 72, 27720: 96, 98280: 128}
+
+
+@pytest.mark.parametrize("n", QUOTIENT_SIZES)
 def test_chromatic_is_certified_past_the_search_bound(n):
-    # 72, 96 and 128 twin-quotient vertices, all past CHROMATIC_BOUND
     spec = Cyclic(n)
     graph = build_graph(spec)
-    assert graph.twins[0].vertex_count > CHROMATIC_BOUND
+    assert graph.twins[0].vertex_count == QUOTIENT_SIZES[n]
     assert oracle_chromatic_number(graph) == chromatic_from_profile(order_profile(spec))
 
 
 def test_eccentricities_known_graphs():
-    assert eccentricities(path_graph(4)) == [3, 2, 2, 3]
-    assert eccentricities(cycle_graph(6)) == [3] * 6
     assert eccentricities(star_graph(5)) == [1, 2, 2, 2, 2]
+    assert eccentricities(complete_graph(3)) == [1, 1, 1]
     assert eccentricities(graph_from_edges(1, [])) == [0]
-    with pytest.raises(DomainError):
-        eccentricities(graph_from_edges(2, []))
+    # no vertex is adjacent to all others, so no eccentricity is claimed
+    for graph in (path_graph(4), cycle_graph(6), graph_from_edges(2, [])):
+        with pytest.raises(DomainError, match="no vertex is adjacent to all others"):
+            eccentricities(graph)
 
 
 def naive_eccentricities(graph: ODGraph) -> Optional[list[int]]:
@@ -221,6 +226,8 @@ def naive_eccentricities(graph: ODGraph) -> Optional[list[int]]:
 @settings(max_examples=120)
 @given(st.integers(min_value=1, max_value=9), st.data())
 def test_eccentricities_match_naive_bfs(n, data):
+    """Exact where some vertex is adjacent to all others (or there is only
+    one vertex), and a DomainError everywhere else."""
     edges = []
     for v in range(1, n):
         # attach each new vertex somewhere earlier, keeping the graph connected
@@ -236,7 +243,12 @@ def test_eccentricities_match_naive_bfs(n, data):
     )
     edges.extend((u, v) for u, v in extra if u != v)
     graph = graph_from_edges(n, edges)
-    assert eccentricities(graph) == naive_eccentricities(graph)
+    expected = naive_eccentricities(graph)
+    if 1 in expected or n == 1:
+        assert eccentricities(graph) == expected
+    else:
+        with pytest.raises(DomainError):
+            eccentricities(graph)
 
 
 @st.composite
@@ -312,24 +324,58 @@ def colorings(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def least_colors(graph: ODGraph) -> int:
+    """The chromatic number, by trying every coloring."""
+    edges = graph.edges()
+    return min(
+        max(c, default=-1) + 1
+        for c in colorings(graph.vertex_count)
+        if all(c[u] != c[v] for u, v in edges)
+    )
+
+
+def exact_or_domain_error(oracle, graph: ODGraph, expected) -> None:
+    """The oracle's answer is the expected one, unless it refuses to claim
+    one with a DomainError."""
+    try:
+        answer = oracle(graph)
+    except DomainError:
+        return
+    assert answer == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_oracles_match_naive_on_random_graphs(graph):
     assert oracle_girth(graph) == naive_girth(graph)
-    edges = graph.edges()
-    color_counts = [
-        max(c, default=-1) + 1
-        for c in colorings(graph.vertex_count)
-        if all(c[u] != c[v] for u, v in edges)
-    ]
-    assert oracle_is_bipartite(graph) == (min(color_counts) <= 2)
-    assert oracle_chromatic_number(graph) == min(color_counts)
-    expected = naive_eccentricities(graph)
-    if expected is None:
-        with pytest.raises(DomainError):
-            eccentricities(graph)
-    else:
-        assert eccentricities(graph) == expected
+    chromatic = least_colors(graph)
+    assert oracle_is_bipartite(graph) == (chromatic <= 2)
+    exact_or_domain_error(oracle_chromatic_number, graph, chromatic)
+    exact_or_domain_error(eccentricities, graph, naive_eccentricities(graph))
+
+
+def graph_from_orders(labels: list[int]) -> ODGraph:
+    """The graph of the divisibility rule on any labels, realized by a group
+    or not: an edge where two labels differ and one divides the other."""
+    return ODGraph(
+        orders=tuple(labels),
+        adjacency=tuple(
+            tuple(
+                w
+                for w, b in enumerate(labels)
+                if a != b and (a % b == 0 or b % a == 0)
+            )
+            for a in labels
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=60), max_size=8))
+def test_certificates_answer_on_every_divisibility_graph(labels):
+    graph = graph_from_orders([1, *labels])
+    assert oracle_chromatic_number(graph) == least_colors(graph)
+    assert eccentricities(graph) == naive_eccentricities(graph)
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,15 +530,13 @@ def test_oracle_report_builds_the_twin_quotient_once(monkeypatch):
     counted.__set_name__(ODGraph, "twins")
     monkeypatch.setattr(ODGraph, "twins", counted)
     # girth, bipartiteness and the chromatic number each ask for it
-    graph = build_graph(Cyclic(12))
-    report = oracle_report(graph)
-    assert report.chromatic_number is not None
+    oracle_report(build_graph(Cyclic(12)))
     assert len(builds) == 1
 
 
 def test_chromatic_of_z6_measured():
-    # frozen from the exact backtracking oracle; order classes {2,3} share
-    # a color, so the value is 3, far from the group order plus one
+    # certified by the divisor chain 1 | 2 | 6 or 1 | 3 | 6; order classes
+    # {2,3} share a color, so the value is 3, far from the group order plus one
     assert oracle_chromatic_number(build_graph(Cyclic(6))) == 3
 
 
