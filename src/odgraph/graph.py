@@ -1,44 +1,40 @@
-"""Explicit order-divisor graphs and brute-force invariants.
+"""Explicit order-divisor graphs and invariants certified on them.
 
 The order-divisor graph of a finite group has one vertex per element; two
 distinct vertices are adjacent exactly when their element orders differ
-and one order divides the other. Everything in this module is computed
-directly on the explicit graph (breadth-first layers, a coloring certified
-by a clique of its size), so it can serve as an independent oracle for
-the closed-form results elsewhere in the package.
+and one order divides the other. Everything in this module is read
+directly off the explicit graph, so it can serve as an independent oracle
+for the closed-form results elsewhere in the package.
 
 Adjacency depends only on element orders, so every vertex of one order has
 the same neighbors and no two of them are adjacent. ``build_graph`` builds
 one sorted neighbor tuple per order class and every vertex of that class
 points to it, so memory grows with vertices times order classes, not with
-edges. Vertices with identical neighbor sets (twins) are never adjacent
-and are interchangeable for distances and colorings, so girth,
-bipartiteness and the chromatic number run on the twin quotient H
-(``ODGraph.twins``), the subgraph induced by one representative per set
-of twins, built at most once per graph from the explicit adjacency. A
-shortest cycle through two twins u, u' shortens to the 4-cycle u, a, u',
-b, so the girth is H's, or 4 if smaller and some twin set of size at least
-2 has degree at least 2. All twins can take one color, so the graph is
-bipartite exactly when H is, and H has the graph's chromatic number.
+edges.
 
-Two oracles read a certificate that only an order-divisor graph is sure to
-carry, and raise DomainError on a graph without it. The chromatic number
-comes from a greedy coloring of H in (order, index) order, whose
+Every oracle reads a certificate that only an order-divisor graph is sure
+to carry, and raises DomainError on a graph without it. The first is a
+vertex adjacent to all others, such as the identity. It makes the graph
+connected, gives each vertex that is not universal eccentricity 2, and
+closes a triangle with every edge that avoids it. So the girth is 3 when
+the graph has more than n - 1 edges, and 0 otherwise, when it is a star;
+and the graph is bipartite exactly when it is a star. The second is a
+clique as large as a greedy coloring of the twin quotient H
+(``ODGraph.twins``), the subgraph induced by one representative per set of
+vertices with identical neighbor sets. Twins are never adjacent, so each
+takes its representative's color and H has the graph's chromatic number.
+H's vertices, in (order, index) order, take greedy colors, whose
 back-pointers give a clique with as many vertices as the coloring has
-colors; on an order-divisor graph they form a divisor chain. The
-eccentricities come from a vertex adjacent to all others, such as the
-identity.
+colors; on an order-divisor graph they form a divisor chain.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import DomainError, EnumerationBoundError
 from .groups import DEFAULT_ENUMERATION_BOUND, GroupSpec, element_orders
@@ -94,35 +90,36 @@ class ODGraph:
         ]
 
     @functools.cached_property
-    def twins(self) -> tuple[ODGraph, tuple[int, ...]]:
-        """The twin quotient H, and the H vertex of every vertex.
+    def twins(self) -> ODGraph:
+        """The twin quotient H: the first vertex of each set of twins, in
+        vertex order, with the edges of the explicit adjacency among them.
 
-        H's vertices are the first vertex of each set of twins, in vertex
-        order; its edges are read from the explicit adjacency. A tuple
-        shared by several vertices (one per order class, from build_graph)
-        is hashed once, keyed by identity, rather than per vertex.
+        A tuple shared by several vertices (one per order class, from
+        build_graph) is found once by identity, equal tuples are merged,
+        and each pair of representatives costs one bisect.
         """
-        class_by_signature: dict[tuple[int, ...], int] = {}
-        class_by_identity: dict[int, int] = {}
-        reps: list[int] = []
-        class_of = []
-        for v, neighbors in enumerate(self.adjacency):
-            c = class_by_identity.get(id(neighbors))
-            if c is None:
-                c = class_by_signature.setdefault(neighbors, len(reps))
-                if c == len(reps):
-                    reps.append(v)
-                class_by_identity[id(neighbors)] = c
-            class_of.append(c)
-        index = {rep: i for i, rep in enumerate(reps)}
-        quotient = ODGraph(
+        adjacency = self.adjacency
+        # keyed while walking backwards, so each tuple keeps its first vertex
+        first_of_tuple = dict(
+            zip(map(id, reversed(adjacency)), reversed(range(len(adjacency))))
+        )
+        first_of_set: dict[tuple[int, ...], int] = {}
+        for v in sorted(first_of_tuple.values()):
+            first_of_set.setdefault(adjacency[v], v)
+        reps = list(first_of_set.values())
+        return ODGraph(
             orders=tuple(self.orders[rep] for rep in reps),
             adjacency=tuple(
-                tuple(index[w] for w in self.adjacency[rep] if w in index)
+                tuple(i for i, w in enumerate(reps) if _contains(adjacency[rep], w))
                 for rep in reps
             ),
         )
-        return quotient, tuple(class_of)
+
+
+def _contains(neighbors: tuple[int, ...], w: int) -> bool:
+    """w is in the sorted tuple neighbors."""
+    k = bisect_left(neighbors, w)
+    return k < len(neighbors) and neighbors[k] == w
 
 
 def build_graph(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> ODGraph:
@@ -181,22 +178,15 @@ def class_degrees(graph: ODGraph) -> tuple[dict[int, int], Optional[str]]:
     return degrees, None
 
 
-def _bfs_levels(graph: ODGraph, root: int) -> Iterator[set[int]]:
-    """Breadth-first layers of root's component: {root}, its neighbors, ...
-
-    Each layer is built only when the caller asks for the next one, so a
-    caller that stops early skips the rest of the search.
-    """
-    visited = {root}
-    frontier = {root}
-    while frontier:
-        yield frontier
-        next_frontier: set[int] = set()
-        for u in frontier:
-            next_frontier.update(graph.adjacency[u])
-        next_frontier -= visited
-        visited |= next_frontier
-        frontier = next_frontier
+def _degrees(graph: ODGraph) -> list[int]:
+    """Every vertex's degree, once some vertex is adjacent to all others;
+    DomainError when none is (as on the empty graph)."""
+    degrees = list(map(len, graph.adjacency))
+    if len(degrees) - 1 not in degrees:
+        raise DomainError(
+            "no vertex is adjacent to all others; no universal-vertex certificate"
+        )
+    return degrees
 
 
 def eccentricities(graph: ODGraph) -> list[int]:
@@ -205,79 +195,38 @@ def eccentricities(graph: ODGraph) -> list[int]:
     On n > 1 vertices, each vertex of degree n - 1 has eccentricity 1, and
     every other vertex 2, since it misses some vertex and reaches every
     vertex through a universal one. A single vertex has eccentricity 0.
-    Raises DomainError when no vertex is universal, which the identity of
-    every order-divisor graph is.
     """
-    n = graph.vertex_count
-    degrees = list(map(len, graph.adjacency))
+    degrees = _degrees(graph)
+    n = len(degrees)
     if n == 1:
         return [0]
-    if n - 1 not in degrees:
-        raise DomainError("no vertex is adjacent to all others; no eccentricities")
     return [1 if d == n - 1 else 2 for d in degrees]
 
 
-def oracle_girth(graph: ODGraph) -> int:
-    """Length of a shortest cycle, 0 when the graph is acyclic.
+def _has_triangle(graph: ODGraph) -> bool:
+    """More edges than the n - 1 at a universal vertex: each further edge
+    avoids it and closes a triangle with it. Otherwise every edge meets it,
+    so the graph is a star."""
+    degrees = _degrees(graph)
+    return sum(degrees) > 2 * (len(degrees) - 1)
 
-    Runs on the twin quotient H, from 4 when a twin set of size at least 2
-    has degree (its neighboring twin sets' sizes added up) at least 2. A BFS
-    from every vertex of H: an edge x-y other than the tree edge into x
-    closes a cycle of length at most dist(x) + dist(y) + 1 >= 2 dist(x),
-    exact from a root on a shortest cycle, so a BFS stops once 2 dist(x)
-    reaches the shortest found. 3 is an early exit (no shorter cycle exists).
-    """
-    quotient, class_of = graph.twins
-    adjacency = quotient.adjacency
-    class_sizes = Counter(class_of)
-    twin_square = any(
-        class_sizes[c] > 1 and sum(class_sizes[w] for w in neighbors) > 1
-        for c, neighbors in enumerate(adjacency)
-    )
-    shortest = 4 if twin_square else math.inf
-    for root in range(quotient.vertex_count):
-        queue, dist, parent = [root], {root: 0}, {root: root}
-        for x in queue:
-            if 2 * dist[x] >= shortest:
-                break
-            for y in adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif y != parent[x]:
-                    shortest = min(shortest, dist[x] + dist[y] + 1)
-                    if shortest == 3:
-                        return 3
-    return 0 if shortest == math.inf else shortest
+
+def oracle_girth(graph: ODGraph) -> int:
+    """Length of a shortest cycle: 3 with a triangle, otherwise 0 (a star)."""
+    return 3 if _has_triangle(graph) else 0
 
 
 def oracle_is_bipartite(graph: ODGraph) -> bool:
-    """No edge inside any BFS layer, over every component of the twin
-    quotient H; all twins can take one color, so the graph is bipartite
-    exactly when H is."""
-    quotient = graph.twins[0]
-    reached: set[int] = set()
-    for root in range(quotient.vertex_count):
-        if root in reached:
-            continue
-        for layer in _bfs_levels(quotient, root):
-            if any(not layer.isdisjoint(quotient.adjacency[v]) for v in layer):
-                return False
-            reached |= layer
-    return True
+    """No triangle, so a star, which is bipartite; a triangle is not."""
+    return not _has_triangle(graph)
 
 
 def _has_degrees(graph: ODGraph, degrees: list[int]) -> bool:
-    """Connected, with this sorted degree sequence. The degree sums are
-    compared first, then the sorted degrees, so the sort runs only on a
-    matching sum and the BFS from vertex 0 only on matching degrees."""
-    n = graph.vertex_count
-    return (
-        sum(map(len, graph.adjacency)) == sum(degrees)
-        and sorted(map(len, graph.adjacency)) == degrees
-        and 0 < n == sum(map(len, _bfs_levels(graph, 0)))
-    )
+    """This sorted degree sequence, and connected through a universal
+    vertex. The degree sums are compared first, so the sort runs only on a
+    matching sum."""
+    actual = _degrees(graph)
+    return sum(actual) == sum(degrees) and sorted(actual) == degrees
 
 
 def oracle_is_star(graph: ODGraph) -> bool:
@@ -314,7 +263,7 @@ def oracle_chromatic_number(graph: ODGraph) -> int:
     only break ties, so the certificate reads the explicit graph alone (on
     an order-divisor graph the chain is a divisor chain, hence a clique).
     """
-    quotient = graph.twins[0]
+    quotient = graph.twins
     adjacency = quotient.adjacency
     color = [0] * len(adjacency)
     below: list[Optional[int]] = [None] * len(adjacency)

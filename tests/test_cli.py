@@ -444,7 +444,7 @@ def test_verify_reports_instances_past_the_bound_as_failures(capsys):
 
 def test_an_oracle_without_a_certificate_fails_its_instance(monkeypatch, capsys):
     # an identity of order 5 in Z6 is adjacent to nothing, so no vertex of
-    # its graph is universal and the eccentricities have no certificate
+    # its graph is universal and the oracle has no certificate to read
     honest = Cyclic.element_orders
 
     def broken(self):
@@ -455,7 +455,7 @@ def test_an_oracle_without_a_certificate_fails_its_instance(monkeypatch, capsys)
     assert main(["verify", "cyclic", "1..8"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "cyclic 1..8: 7/8 pass",
-        "FAIL Z6: no vertex is adjacent to all others; no eccentricities",
+        "FAIL Z6: no vertex is adjacent to all others; no universal-vertex certificate",
     ]
 
 

@@ -74,58 +74,67 @@ def complete_bipartite_graph(a: int, b: int) -> ODGraph:
     return graph_from_edges(a + b, [(i, j) for i in range(a) for j in range(a, a + b)])
 
 
-def doubled_five_cycle() -> ODGraph:
-    """The 5-cycle with vertex 0 doubled: vertex 5 is its twin."""
-    return graph_from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, 1), (5, 4)])
+def wheel_graph(n: int) -> ODGraph:
+    """The wheel W_n: a hub, vertex n, adjacent to every vertex of an n-cycle."""
+    return graph_from_edges(
+        n + 1, [(i, (i + 1) % n) for i in range(n)] + [(i, n) for i in range(n)]
+    )
+
+
+# degree multiset of a path, but disconnected: triangle + 2-path
+PATH_DECOY = graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+# 2-regular but disconnected: two triangles
+TWO_TRIANGLES = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
+def no_universal_vertex() -> list[ODGraph]:
+    """Graphs on which no vertex is adjacent to all others, so none carries
+    the certificate that girth, bipartiteness and the shapes read."""
+    wagner = graph_from_edges(
+        8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
+    )
+    return [
+        graph_from_edges(0, []),
+        cycle_graph(4),
+        cycle_graph(5),
+        cycle_graph(6),
+        complete_bipartite_graph(2, 3),
+        complete_bipartite_graph(3, 3),
+        wagner,
+        path_graph(5),
+        PATH_DECOY,
+        TWO_TRIANGLES,
+    ]
 
 
 # --- oracle behavior on known synthetic graphs -----------------------------
 
 
 def test_oracle_girth_known_graphs():
+    assert oracle_girth(complete_graph(1)) == 0
+    assert oracle_girth(complete_graph(2)) == 0
     assert oracle_girth(complete_graph(3)) == 3
     assert oracle_girth(complete_graph(4)) == 3
-    assert oracle_girth(cycle_graph(4)) == 4
-    assert oracle_girth(cycle_graph(5)) == 5
-    assert oracle_girth(cycle_graph(6)) == 6
-    assert oracle_girth(path_graph(4)) == 0
     assert oracle_girth(star_graph(7)) == 0
-    # twins close every 4-cycle of these; K2,3's twin quotient is one edge
-    assert oracle_girth(complete_bipartite_graph(2, 3)) == 4
-    assert oracle_girth(complete_bipartite_graph(3, 3)) == 4
-    # the quotient is the 5-cycle, but the doubled vertex closes a 4-cycle
-    assert oracle_girth(doubled_five_cycle()) == 4
-    # five-cycle with one chord has a triangle
-    assert oracle_girth(graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])) == 3
-    # Wagner graph (8-cycle plus its long diagonals): every BFS layer that
-    # closes a 4-cycle also holds an edge closing a 5-cycle
-    wagner = graph_from_edges(
-        8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
-    )
-    assert oracle_girth(wagner) == 4
-    # two four-cycles sharing one vertex
-    assert (
-        oracle_girth(
-            graph_from_edges(
-                7,
-                [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)],
-            )
-        )
-        == 4
-    )
+    assert oracle_girth(path_graph(3)) == 0
+    # every rim edge closes a triangle with the hub
+    assert oracle_girth(wheel_graph(5)) == 3
+    for graph in no_universal_vertex():
+        with pytest.raises(DomainError, match="no vertex is adjacent to all others"):
+            oracle_girth(graph)
 
 
 def test_oracle_bipartite_known_graphs():
-    assert oracle_is_bipartite(cycle_graph(4))
-    assert not oracle_is_bipartite(cycle_graph(5))
-    assert oracle_is_bipartite(path_graph(6))
-    assert oracle_is_bipartite(star_graph(9))
+    assert oracle_is_bipartite(complete_graph(1))
+    assert oracle_is_bipartite(complete_graph(2))
     assert not oracle_is_bipartite(complete_graph(3))
-    assert oracle_is_bipartite(complete_bipartite_graph(2, 3))
-    assert oracle_is_bipartite(complete_bipartite_graph(3, 3))
-    assert not oracle_is_bipartite(doubled_five_cycle())
-    # the odd cycle lies outside the first component
-    assert not oracle_is_bipartite(graph_from_edges(4, [(1, 2), (2, 3), (3, 1)]))
+    assert not oracle_is_bipartite(complete_graph(4))
+    assert oracle_is_bipartite(star_graph(9))
+    assert oracle_is_bipartite(path_graph(3))
+    assert not oracle_is_bipartite(wheel_graph(5))
+    for graph in no_universal_vertex():
+        with pytest.raises(DomainError, match="no vertex is adjacent to all others"):
+            oracle_is_bipartite(graph)
 
 
 def test_oracle_star_path_cycle_recognizers():
@@ -133,33 +142,34 @@ def test_oracle_star_path_cycle_recognizers():
     assert oracle_is_star(graph_from_edges(1, []))  # degenerate single vertex
     assert oracle_is_star(path_graph(2))
     assert oracle_is_star(path_graph(3))  # the 3-path is also a star
-    assert not oracle_is_star(path_graph(4))
+    assert not oracle_is_star(complete_graph(3))
     assert not oracle_is_path(graph_from_edges(1, []))
     assert oracle_is_path(path_graph(2))
-    assert oracle_is_path(path_graph(5))
-    assert not oracle_is_path(cycle_graph(5))
-    # degree multiset of a path, but disconnected: triangle + 2-path
-    decoy = graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
-    assert not oracle_is_path(decoy)
-    assert oracle_is_cycle_graph(cycle_graph(5))
-    assert not oracle_is_cycle_graph(path_graph(5))
-    # 2-regular but disconnected: two triangles
-    two_triangles = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert not oracle_is_cycle_graph(two_triangles)
-
-
-def test_shape_recognizers_search_only_on_a_degree_match(monkeypatch):
-    decoy = graph_from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
-
-    def no_search(graph, root):
-        raise AssertionError("BFS ran")
-
-    monkeypatch.setattr("odgraph.graph._bfs_levels", no_search)
+    assert oracle_is_path(path_graph(3))
+    assert not oracle_is_path(star_graph(4))
+    assert oracle_is_cycle_graph(complete_graph(3))
+    assert not oracle_is_cycle_graph(complete_graph(4))
+    assert not oracle_is_cycle_graph(wheel_graph(5))
     for recognizer in (oracle_is_star, oracle_is_path, oracle_is_cycle_graph):
-        assert not recognizer(build_graph(Cyclic(12)))
-        assert not recognizer(graph_from_edges(0, []))
-    with pytest.raises(AssertionError, match="BFS ran"):
-        oracle_is_path(decoy)
+        for graph in no_universal_vertex():
+            with pytest.raises(DomainError, match="no vertex is adjacent to all others"):
+                recognizer(graph)
+
+
+def test_shape_recognizers_sort_only_on_a_degree_match(monkeypatch):
+    z12 = build_graph(Cyclic(12))
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sort ran")
+
+    monkeypatch.setattr("odgraph.graph.sorted", no_sort, raising=False)
+    for recognizer in (oracle_is_star, oracle_is_path, oracle_is_cycle_graph):
+        assert not recognizer(z12)
+    # the decoy's degree sum is a path's, but it has no universal vertex
+    with pytest.raises(DomainError, match="no vertex is adjacent to all others"):
+        oracle_is_path(PATH_DECOY)
+    with pytest.raises(AssertionError, match="sort ran"):
+        oracle_is_path(path_graph(3))
 
 
 def test_oracle_chromatic_known_graphs():
@@ -180,7 +190,7 @@ def test_oracle_chromatic_known_graphs():
 def test_chromatic_colors_the_twin_quotient():
     # 840 elements, but 32 order classes: chain 1 | 2 | 4 | 8 | 24 | 120 | 840
     graph = build_graph(Cyclic(840))
-    assert graph.twins[0].vertex_count == 32
+    assert graph.twins.vertex_count == 32
     assert oracle_chromatic_number(graph) == 7
 
 
@@ -191,7 +201,7 @@ QUOTIENT_SIZES = {10080: 72, 27720: 96, 98280: 128}
 def test_chromatic_is_certified_past_the_search_bound(n):
     spec = Cyclic(n)
     graph = build_graph(spec)
-    assert graph.twins[0].vertex_count == QUOTIENT_SIZES[n]
+    assert graph.twins.vertex_count == QUOTIENT_SIZES[n]
     assert oracle_chromatic_number(graph) == chromatic_from_profile(order_profile(spec))
 
 
@@ -344,14 +354,30 @@ def exact_or_domain_error(oracle, graph: ODGraph, expected) -> None:
     assert answer == expected
 
 
+def naive_twins(graph: ODGraph) -> ODGraph:
+    """The twin quotient by grouping vertices by neighbor set, keeping the
+    first vertex of each group, with the edges among those vertices."""
+    first: dict[frozenset[int], int] = {}
+    for v, neighbors in enumerate(graph.adjacency):
+        first.setdefault(frozenset(neighbors), v)
+    reps = list(first.values())
+    return ODGraph(
+        orders=tuple(graph.orders[v] for v in reps),
+        adjacency=tuple(
+            tuple(i for i, w in enumerate(reps) if w in graph.adjacency[v]) for v in reps
+        ),
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_oracles_match_naive_on_random_graphs(graph):
-    assert oracle_girth(graph) == naive_girth(graph)
+    exact_or_domain_error(oracle_girth, graph, naive_girth(graph))
     chromatic = least_colors(graph)
-    assert oracle_is_bipartite(graph) == (chromatic <= 2)
+    exact_or_domain_error(oracle_is_bipartite, graph, chromatic <= 2)
     exact_or_domain_error(oracle_chromatic_number, graph, chromatic)
     exact_or_domain_error(eccentricities, graph, naive_eccentricities(graph))
+    assert graph.twins == naive_twins(graph)
 
 
 def graph_from_orders(labels: list[int]) -> ODGraph:
@@ -370,18 +396,47 @@ def graph_from_orders(labels: list[int]) -> ODGraph:
     )
 
 
+def naive_shapes(graph: ODGraph) -> tuple[bool, bool, bool]:
+    """Star, path and cycle on at least one vertex: connected by a BFS from
+    every vertex, with the shape's sorted degree sequence."""
+    n = graph.vertex_count
+    degrees = sorted(map(len, graph.adjacency))
+    connected = naive_eccentricities(graph) is not None
+    return (
+        connected and degrees == [1] * (n - 1) + [n - 1],
+        connected and degrees == [1, 1] + [2] * (n - 2),
+        connected and degrees == [2] * n,
+    )
+
+
+def two_colorable(graph: ODGraph) -> bool:
+    """Bipartite, by trying every 2-coloring."""
+    edges = graph.edges()
+    return any(
+        all((c >> u ^ c >> v) & 1 for u, v in edges)
+        for c in range(2**graph.vertex_count)
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=2, max_value=60), max_size=8))
 def test_certificates_answer_on_every_divisibility_graph(labels):
     graph = graph_from_orders([1, *labels])
-    assert oracle_chromatic_number(graph) == least_colors(graph)
+    chromatic = least_colors(graph)
+    assert oracle_chromatic_number(graph) == chromatic
     assert eccentricities(graph) == naive_eccentricities(graph)
+    assert oracle_girth(graph) == naive_girth(graph)
+    assert oracle_is_bipartite(graph) == (chromatic <= 2)
+    shapes = (oracle_is_star(graph), oracle_is_path(graph), oracle_is_cycle_graph(graph))
+    assert shapes == naive_shapes(graph)
 
 
 @settings(max_examples=200, deadline=None)
 @given(with_universal_vertex())
-def test_eccentricities_with_a_universal_vertex_match_naive_bfs(graph):
+def test_universal_vertex_certificates_match_brute_force(graph):
     assert eccentricities(graph) == naive_eccentricities(graph)
+    assert oracle_girth(graph) == naive_girth(graph)
+    assert oracle_is_bipartite(graph) == two_colorable(graph)
 
 
 # --- explicit order-divisor graphs -----------------------------------------
@@ -529,8 +584,12 @@ def test_oracle_report_builds_the_twin_quotient_once(monkeypatch):
     counted = functools.cached_property(counting)
     counted.__set_name__(ODGraph, "twins")
     monkeypatch.setattr(ODGraph, "twins", counted)
-    # girth, bipartiteness and the chromatic number each ask for it
-    oracle_report(build_graph(Cyclic(12)))
+    graph = build_graph(Cyclic(12))
+    # girth and bipartiteness read degrees only; the chromatic number reads H
+    oracle_girth(graph)
+    oracle_is_bipartite(graph)
+    assert not builds
+    oracle_report(graph)
     assert len(builds) == 1
 
 
