@@ -23,10 +23,11 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import re
 import sys
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from . import formulas
 from .errors import (
@@ -55,6 +56,11 @@ __all__ = ["MAX_EXPORT_EDGES", "main", "parse_spec"]
 
 # export lists every edge; past this many it refuses before listing any
 MAX_EXPORT_EDGES = 2**21
+
+# output is formatted and written this many edges (export) or instances
+# (verify --format json) at a time, so it never exists whole in memory
+EXPORT_BATCH = 8192
+SWEEP_BATCH = 256
 
 _FAMILY_LETTERS = {atom.letter: atom for atom in (Cyclic, Dihedral, Units)}
 
@@ -115,12 +121,33 @@ def _json_payload(data: Any) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _csv_payload(header: list[str], rows: Iterable[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _batches(items: Iterable, size: int) -> Iterator[list]:
+    iterator = iter(items)
+    while batch := list(itertools.islice(iterator, size)):
+        yield batch
+
+
+def _json_chunks(document: dict[str, Any], key: str, batches: Iterable[list]) -> Iterator[str]:
+    """``_json_payload(document)`` with ``document[key]``, an empty list,
+    holding the items of ``batches``, each batch formatted as one chunk."""
+    # a raw newline and two spaces before a quote start a top-level key
+    # only: json.dumps escapes newlines inside strings
+    head, tail = _json_payload(document).split(f'\n  "{key}": []')
+    yield f'{head}\n  "{key}": ['
+    separator = ""
+    for batch in batches:
+        # the batch's items at indent 2, without its brackets, one level down
+        yield separator + json.dumps(batch, indent=2)[1:-2].replace("\n", "\n  ")
+        separator = ","
+    yield ("\n  ]" if separator else "]") + tail
+
+
+def _csv_chunks(header: list[str], batches: Iterable[Iterable[list]]) -> Iterator[str]:
+    """The header line, then each batch of rows as one chunk."""
+    for rows in itertools.chain([[header]], batches):
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(rows)
+        yield buffer.getvalue()
 
 
 def _aligned_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -163,45 +190,42 @@ def _degree_rows(spec: GroupSpec, args) -> list[dict[str, Any]]:
     ]
 
 
-def _cmd_degrees(args) -> tuple[str, int]:
+def _cmd_degrees(args) -> tuple[Iterable[str], int]:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
     rows = _degree_rows(spec, args)
     if args.format == "json":
-        payload = _json_payload({"group": text, "order": group_order(spec), "rows": rows})
-    else:
-        # a missing oracle value is an empty csv field and a "-" in the table
-        cells = [["" if v is None else str(v) for v in row.values()] for row in rows]
-        if args.format == "csv":
-            header = ["order", "count", "degree_formula", "degree_oracle"]
-            payload = _csv_payload(header, cells)
-        else:
-            payload = f"group={text} order={group_order(spec)}\n" + _aligned_table(
-                ["order", "count", "formula", "oracle"],
-                [[cell or "-" for cell in row] for row in cells],
-            )
-    return payload, 0
+        return [_json_payload({"group": text, "order": group_order(spec), "rows": rows})], 0
+    # a missing oracle value is an empty csv field and a "-" in the table
+    cells = [["" if v is None else str(v) for v in row.values()] for row in rows]
+    if args.format == "csv":
+        return _csv_chunks(["order", "count", "degree_formula", "degree_oracle"], [cells]), 0
+    table = _aligned_table(
+        ["order", "count", "formula", "oracle"],
+        [[cell or "-" for cell in row] for row in cells],
+    )
+    return [f"group={text} order={group_order(spec)}\n", table], 0
 
 
-def _scalar_command(args, spec: GroupSpec, name: str, value: int) -> tuple[str, int]:
+def _scalar_command(args, spec: GroupSpec, name: str, value: int) -> tuple[list[str], int]:
     if args.format == "json":
-        return _json_payload({"group": format_spec(spec), name: value}), 0
-    return f"{value}\n", 0
+        return [_json_payload({"group": format_spec(spec), name: value})], 0
+    return [f"{value}\n"], 0
 
 
-def _cmd_size(args) -> tuple[str, int]:
+def _cmd_size(args) -> tuple[list[str], int]:
     spec = parse_spec(args.spec)
     closed_forms = family_formulas(spec, formulas)
     value = closed_forms[1]() if closed_forms else size_via_profile(order_profile(spec))
     return _scalar_command(args, spec, "size", value)
 
 
-def _cmd_girth(args) -> tuple[str, int]:
+def _cmd_girth(args) -> tuple[list[str], int]:
     spec = parse_spec(args.spec)
     return _scalar_command(args, spec, "girth", formulas.girth_of_group(spec))
 
 
-def _cmd_classify(args) -> tuple[str, int]:
+def _cmd_classify(args) -> tuple[list[str], int]:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
     profile = order_profile(spec)
@@ -229,10 +253,10 @@ def _cmd_classify(args) -> tuple[str, int]:
             f"path={_bool_text(path)}\n"
             f"profile={profile_text}\n"
         )
-    return payload, 0
+    return [payload], 0
 
 
-def _cmd_export(args) -> tuple[str, int]:
+def _cmd_export(args) -> tuple[Iterable[str], int]:
     spec = parse_spec(args.spec)
     text = format_spec(spec)
     graph = build_graph(spec, args.enum_bound)
@@ -240,33 +264,27 @@ def _cmd_export(args) -> tuple[str, int]:
     if edges > MAX_EXPORT_EDGES:
         raise DomainError(f"OD({text}) has {edges} edges, over {MAX_EXPORT_EDGES}")
     labels = element_labels(spec, args.enum_bound)
-    if args.format == "dot":
-        lines = [f'graph "OD({text})" {{']
-        for v in range(graph.vertex_count):
-            lines.append(f'  {v} [label="{labels[v]}:{graph.orders[v]}"];')
-        for u, v in graph.edges():
-            lines.append(f"  {u} -- {v};")
-        lines.append("}")
-        payload = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        payload = _json_payload(
-            {
-                "group": text,
-                "order": graph.vertex_count,
-                "vertices": [
-                    {"id": v, "label": labels[v], "order": graph.orders[v]}
-                    for v in range(graph.vertex_count)
-                ],
-                "edges": graph.edges(),
-                "invariants": dataclasses.asdict(oracle_report(graph)),
-            }
-        )
-    else:
-        payload = _csv_payload(
-            ["source", "target", "source_label", "target_label"],
-            ([u, v, labels[u], labels[v]] for u, v in graph.edges()),
-        )
-    return payload, 0
+    batches = _batches(graph.edges(), EXPORT_BATCH)
+    if args.format == "json":
+        document = {
+            "group": text,
+            "order": graph.vertex_count,
+            "vertices": [
+                {"id": v, "label": labels[v], "order": graph.orders[v]}
+                for v in range(graph.vertex_count)
+            ],
+            "edges": [],
+            "invariants": dataclasses.asdict(oracle_report(graph)),
+        }
+        return _json_chunks(document, "edges", batches), 0
+    if args.format == "csv":
+        rows = (([u, v, labels[u], labels[v]] for u, v in batch) for batch in batches)
+        return _csv_chunks(["source", "target", "source_label", "target_label"], rows), 0
+    vertices = "".join(
+        f'  {v} [label="{labels[v]}:{graph.orders[v]}"];\n' for v in range(graph.vertex_count)
+    )
+    lines = ("".join(f"  {u} -- {v};\n" for u, v in batch) for batch in batches)
+    return itertools.chain([f'graph "OD({text})" {{\n', vertices], lines, ["}\n"]), 0
 
 
 _RANGE_PATTERN = re.compile(r"([0-9]+)\.\.([0-9]+)")
@@ -279,20 +297,21 @@ def _parse_range(text: str) -> tuple[int, int]:
     return _decimal(match.group(1)), _decimal(match.group(2))
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
     lo, hi = _parse_range(args.range)
     report = sweep(args.family, lo, hi, enum_bound=args.enum_bound)
+    code = 0 if report.passed else 1
     if args.format == "json":
-        payload = _json_payload(report.to_dict())
-    else:
-        lines = [report.summary()]
-        for result in report.results:
-            if not result.passed:
-                lines.append(f"FAIL {result.spec_text}: {result.first_mismatch}")
-        for key, value in report.notes.items():
-            lines.append(f"note {key}={value}")
-        payload = "\n".join(lines) + "\n"
-    return payload, 0 if report.passed else 1
+        document = report.to_dict(instances=False)
+        instances = (result.to_dict() for result in report.results)
+        return _json_chunks(document, "instances", _batches(instances, SWEEP_BATCH)), code
+    lines = [report.summary()]
+    for result in report.results:
+        if not result.passed:
+            lines.append(f"FAIL {result.spec_text}: {result.first_mismatch}")
+    for key, value in report.notes.items():
+        lines.append(f"note {key}={value}")
+    return ["\n".join(lines) + "\n"], code
 
 
 def non_negative_int(text: str) -> int:
@@ -320,7 +339,8 @@ _ENUM_BOUND = (
 )
 
 # name, help, handler, and the arguments in order; every command also
-# takes --out. A handler returns (output text, exit code) and does no I/O.
+# takes --out. A handler returns (output chunks, exit code) and does no I/O;
+# whatever can fail runs before it returns, and the chunks only format.
 _COMMANDS = (
     (
         "degrees",
@@ -384,12 +404,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     limit = _digit_limit()
     _set_digit_limit(0)
     try:
-        payload, code = args.handler(args)
+        chunks, code = args.handler(args)
         if args.out is None:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(chunks)
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(payload)
+                handle.writelines(chunks)
     except (SpecSyntaxError, SpecConstraintError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -284,7 +284,9 @@ class SweepReport:
             f"{self.passed_count}/{len(self.results)} pass"
         )
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self, instances: bool = True) -> dict[str, Any]:
+        """The report as JSON data; ``instances=False`` leaves the instance
+        list empty, for a writer that formats the results itself."""
         return {
             "family": self.family,
             "range": [self.lo, self.hi],
@@ -292,7 +294,7 @@ class SweepReport:
             "passed": self.passed_count,
             "failed": self.failed_count,
             "notes": _jsonify(self.notes),
-            "instances": [result.to_dict() for result in self.results],
+            "instances": [result.to_dict() for result in self.results] if instances else [],
         }
 
 

@@ -8,15 +8,16 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odgraph import cli, numtheory
+from odgraph import cli, formulas, numtheory
 from odgraph.cli import main, parse_spec
-from odgraph.errors import SpecConstraintError, SpecSyntaxError
+from odgraph.errors import DomainError, SpecConstraintError, SpecSyntaxError
 from odgraph.groups import Cyclic, Dihedral, Product, Units, format_spec
 from odgraph.verify import SWEEP_FAMILIES
 
@@ -389,6 +390,64 @@ def test_export_product_labels(capsys):
     assert '"(0,0)"' in out or "(0,0)" in out
 
 
+def _output(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    return out.getvalue()
+
+
+def _traced_peak(argv, code) -> int:
+    """The tracemalloc peak, in bytes, of running the CLI on argv."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == code
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_seams_do_not_change_the_output(monkeypatch):
+    argvs = [
+        ["export", spec, "--format", fmt]
+        for spec in ["Z1", "Z2", "Z6", "D4", "Z2xZ2"]
+        for fmt in ["dot", "csv", "json"]
+    ]
+    argvs.append(["verify", "cyclic", "1..5", "--format", "json"])
+    expected = [_output(argv) for argv in argvs]
+    # two edges or instances a batch puts a seam between nearly every pair
+    monkeypatch.setattr(cli, "EXPORT_BATCH", 2)
+    monkeypatch.setattr(cli, "SWEEP_BATCH", 2)
+    assert [_output(argv) for argv in argvs] == expected
+
+
+def test_export_json_keeps_the_indent_2_layout_across_batches():
+    # 202,613 edges: 24 whole batches and a short one
+    out = _output(["export", "Z840", "--format", "json"])
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize("fmt", ["dot", "csv", "json"])
+def test_export_memory_stays_below_100_bytes_per_edge(fmt, tmp_path):
+    # the edges() list, at about 70 B per edge, is held while it is written
+    edges = formulas.size_zn(840)
+    assert edges == 202_613
+    peak = _traced_peak(["export", "Z840", "--format", fmt, "--out", str(tmp_path / "g")], 0)
+    assert peak / edges < 100
+
+
+def test_export_json_failing_its_invariants_writes_nothing(monkeypatch, tmp_path, capsys):
+    def fail(graph):
+        raise DomainError("no certificate")
+
+    monkeypatch.setattr(cli, "oracle_report", fail)
+    target = tmp_path / "g.json"
+    assert main(["export", "Z6", "--format", "json", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no certificate\n")
+    assert not target.exists()
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -431,6 +490,12 @@ def test_verify_past_the_instance_cap_fails_fast(argv, capsys):
     assert captured.err.startswith("error: ")
     assert ("vertices" if argv[2] == "1..100000" else "instances") in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_verify_json_memory_stays_below_800_bytes_per_instance(tmp_path):
+    # 9,999 instances past the enumeration bound, each a failure without a graph
+    argv = ["verify", "cyclic", "100001..109999", "--format", "json", "--out", str(tmp_path / "v")]
+    assert _traced_peak(argv, 1) / 9_999 < 800
 
 
 def test_verify_reports_instances_past_the_bound_as_failures(capsys):
