@@ -169,7 +169,7 @@ def _degree_rows(spec: GroupSpec, args) -> list[dict[str, Any]]:
     profile = order_profile(spec)
     oracle_degrees: Optional[dict[int, int]]
     try:
-        oracle_degrees, _ = class_degrees(build_graph(spec, args.enum_bound))
+        oracle_degrees = class_degrees(build_graph(spec, args.enum_bound))
     except EnumerationBoundError:
         # past the enumeration bound or a graph limit the oracle column is left out
         oracle_degrees = None
@@ -302,7 +302,7 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
     report = sweep(args.family, lo, hi, enum_bound=args.enum_bound)
     code = 0 if report.passed else 1
     if args.format == "json":
-        document = report.to_dict(instances=False)
+        document = {**report.to_dict(), "instances": []}
         instances = (result.to_dict() for result in report.results)
         return _json_chunks(document, "instances", _batches(instances, SWEEP_BATCH)), code
     lines = [report.summary()]

@@ -161,21 +161,18 @@ def build_graph(spec: GroupSpec, bound: int = DEFAULT_ENUMERATION_BOUND) -> ODGr
     )
 
 
-def class_degrees(graph: ODGraph) -> tuple[dict[int, int], Optional[str]]:
-    """Per-order-class oracle degree, confirming classes are degree-uniform.
-
-    Returns (order -> degree, problem) where problem describes the first
-    vertex whose degree disagrees with its class, or None.
-    """
+def class_degrees(graph: ODGraph) -> dict[int, int]:
+    """Per-order-class oracle degree, order -> degree; DomainError names
+    the first vertex whose degree disagrees with its class."""
     degrees: dict[int, int] = {}
     for v, order in enumerate(graph.orders):
         d = len(graph.adjacency[v])
         seen = degrees.setdefault(order, d)
         if seen != d:
-            return degrees, (
+            raise DomainError(
                 f"vertices of order {order} disagree: degree {seen} vs {d} (vertex {v})"
             )
-    return degrees, None
+    return degrees
 
 
 def _degrees(graph: ODGraph) -> list[int]:

@@ -3,9 +3,9 @@
 Every group instance is checked along two independent routes: closed
 formulas and order-profile arithmetic on one side, brute-force
 computation on the explicit graph on the other. Mismatches are collected
-rather than raised, and a graph past the enumeration bound or without an
-oracle's certificate fails its instance with an error, so a sweep across
-a parameter range always runs to completion and reports deterministically.
+rather than raised, and a refusal from either route, an oracle's or a
+formula's, fails only its instance with an error, so a sweep across a
+parameter range always runs to completion and reports deterministically.
 """
 
 from __future__ import annotations
@@ -105,13 +105,10 @@ def _first_diff(name: str, formula: Any, oracle: Any) -> str:
     return f"{name}: formula {formula!r} != oracle {oracle!r}"
 
 
-def _compare(
-    name: str, formula: Any, oracle: Any, detail: Optional[str] = None
-) -> CheckResult:
-    """The only builder of a check: a given ``detail`` fails it even when
-    both sides agree; otherwise it fails with their first difference."""
-    if detail is None and formula != oracle:
-        detail = _first_diff(name, formula, oracle)
+def _compare(name: str, formula: Any, oracle: Any) -> CheckResult:
+    """The only builder of a check: it fails with the two sides' first
+    difference, and passes exactly when they agree."""
+    detail = None if formula == oracle else _first_diff(name, formula, oracle)
     return CheckResult(name, formula, oracle, detail)
 
 
@@ -169,58 +166,61 @@ def verify_group(
     suite: FormulaSuite = DEFAULT_SUITE,
     enum_bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> VerificationResult:
-    """Check one group along both routes; never raises on mismatch."""
+    """Check one group along both routes; never raises on mismatch. A
+    refusal from either route (past the bound, an oracle without its
+    certificate, class degrees that disagree, an invalid profile or a
+    formula's exactness guard) fails only this instance, with its message."""
     text = format_spec(spec)
     order = group_order(spec)
     try:
         graph = build_graph(spec, enum_bound)
         report = oracle_report(graph)
-    except (EnumerationBoundError, DomainError) as exc:
+        oracle_degrees = class_degrees(graph)
+        profile = order_profile(spec)
+        degree, size = family_formulas(spec, suite) or (None, None)
+        primes = numtheory.factorize(order) if isinstance(spec, Cyclic) else ()
+        prime_power = primes[0] if len(primes) == 1 else None
+        # acyclic, bipartite and a star each hold exactly when the profile's
+        # star rule (no realized order above 1 divides another) does
+        shapes = {
+            "acyclic": report.girth == 0,
+            "bipartite": report.is_bipartite,
+            "star": report.is_star,
+        }
+        star_rule = dict.fromkeys(shapes, formulas.is_star_profile(profile))
+        # (name, formula side, oracle side); a side is None where the check
+        # does not apply, and a check exists exactly where both sides do
+        rows = [
+            ("order_profile", dict(profile), dict(Counter(graph.orders))),
+            ("degrees_profile", degree_via_profile(profile), oracle_degrees),
+            ("degrees_formula", degree and {m: degree(m) for m in profile}, oracle_degrees),
+            ("size_profile", size_via_profile(profile), report.size),
+            ("size_formula", size and size(), report.size),
+            # girth: 3 exactly when one realized order above 1 divides another
+            ("girth", formulas.girth_from_profile(profile), report.girth),
+            ("star_equivalence", star_rule, shapes),
+            ("path_rule", formulas.is_path_group(spec), report.is_path),
+            # the identity is adjacent to everything: radius 1, diameter at most 2
+            ("radius_diameter", [min(order - 1, 1), min(order - 1, 2)],
+             [report.radius, report.diameter]),
+            ("not_a_cycle", False if order >= 3 else None, oracle_is_cycle_graph(graph)),
+            # the longest divisor chain, against the oracle's certified coloring
+            ("chromatic", formulas.chromatic_from_profile(profile),
+             report.chromatic_number),
+            # the paper's closed forms for Z_{p^k}, k >= 1
+            ("prime_power", prime_power and formulas.prime_power_identities(*prime_power),
+             prime_power and {
+                 "degrees": oracle_degrees,
+                 "degree_sum": sum(map(len, graph.adjacency)),
+                 "order_sum": sum(graph.orders),
+                 "size": report.size,
+             }),
+        ]
+        checks = tuple(
+            _compare(*row) for row in rows if row[1] is not None and row[2] is not None
+        )
+    except (EnumerationBoundError, DomainError, ArithmeticError) as exc:
         return VerificationResult(text, order, checks=(), error=str(exc))
-    profile = order_profile(spec)
-    oracle_degrees, problem = class_degrees(graph)
-    degree, size = family_formulas(spec, suite) or (None, None)
-    primes = numtheory.factorize(order) if isinstance(spec, Cyclic) else ()
-    prime_power = primes[0] if len(primes) == 1 else None
-    # acyclic, bipartite and a star each hold exactly when the profile's
-    # star rule (no realized order above 1 divides another) does
-    shapes = {
-        "acyclic": report.girth == 0,
-        "bipartite": report.is_bipartite,
-        "star": report.is_star,
-    }
-    star_rule = dict.fromkeys(shapes, formulas.is_star_profile(profile))
-    # (name, formula side, oracle side[, problem]); a side is None where the
-    # check does not apply, and a check exists exactly where both sides do
-    rows = [
-        ("order_profile", dict(profile), dict(Counter(graph.orders))),
-        ("degrees_profile", degree_via_profile(profile), oracle_degrees, problem),
-        ("degrees_formula", degree and {m: degree(m) for m in profile}, oracle_degrees),
-        ("size_profile", size_via_profile(profile), report.size),
-        ("size_formula", size and size(), report.size),
-        # girth: 3 exactly when one realized order above 1 divides another
-        ("girth", formulas.girth_from_profile(profile), report.girth),
-        ("star_equivalence", star_rule, shapes),
-        ("path_rule", formulas.is_path_group(spec), report.is_path),
-        # the identity is adjacent to everything: radius 1, diameter at most 2
-        ("radius_diameter", [min(order - 1, 1), min(order - 1, 2)],
-         [report.radius, report.diameter]),
-        ("not_a_cycle", False if order >= 3 else None, oracle_is_cycle_graph(graph)),
-        # the longest divisor chain, against the oracle's certified coloring
-        ("chromatic", formulas.chromatic_from_profile(profile),
-         report.chromatic_number),
-        # the paper's closed forms for Z_{p^k}, k >= 1
-        ("prime_power", prime_power and formulas.prime_power_identities(*prime_power),
-         prime_power and {
-             "degrees": oracle_degrees,
-             "degree_sum": sum(map(len, graph.adjacency)),
-             "order_sum": sum(graph.orders),
-             "size": report.size,
-         }),
-    ]
-    checks = tuple(
-        _compare(*row) for row in rows if row[1] is not None and row[2] is not None
-    )
     return VerificationResult(text, order, checks)
 
 
@@ -284,9 +284,8 @@ class SweepReport:
             f"{self.passed_count}/{len(self.results)} pass"
         )
 
-    def to_dict(self, instances: bool = True) -> dict[str, Any]:
-        """The report as JSON data; ``instances=False`` leaves the instance
-        list empty, for a writer that formats the results itself."""
+    def to_dict(self) -> dict[str, Any]:
+        """The report as JSON data, less the instances, which a writer formats."""
         return {
             "family": self.family,
             "range": [self.lo, self.hi],
@@ -294,7 +293,6 @@ class SweepReport:
             "passed": self.passed_count,
             "failed": self.failed_count,
             "notes": _jsonify(self.notes),
-            "instances": [result.to_dict() for result in self.results] if instances else [],
         }
 
 

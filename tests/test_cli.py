@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from odgraph import cli, formulas, numtheory
 from odgraph.cli import main, parse_spec
 from odgraph.errors import DomainError, SpecConstraintError, SpecSyntaxError
+from odgraph.graph import ODGraph
 from odgraph.groups import Cyclic, Dihedral, Product, Units, format_spec
 from odgraph.verify import SWEEP_FAMILIES
 
@@ -522,6 +523,54 @@ def test_an_oracle_without_a_certificate_fails_its_instance(monkeypatch, capsys)
         "cyclic 1..8: 7/8 pass",
         "FAIL Z6: no vertex is adjacent to all others; no universal-vertex certificate",
     ]
+
+
+def test_a_formula_exactness_guard_fails_its_instance(monkeypatch, capsys):
+    # an odd order-2 class with one more degree makes the degree sum odd,
+    # which size_via_profile refuses with an ArithmeticError
+    honest = formulas.degree_via_profile
+
+    def broken(profile):
+        degrees = honest(profile)
+        if profile.get(2, 0) % 2:
+            degrees[2] += 1
+        return degrees
+
+    monkeypatch.setattr(formulas, "degree_via_profile", broken)
+    assert main(["verify", "cyclic", "1..6"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cyclic 1..6: 3/6 pass",
+        "FAIL Z2: expected an even degree sum, got 3",
+        "FAIL Z4: expected an even degree sum, got 11",
+        "FAIL Z6: expected an even degree sum, got 23",
+    ]
+
+
+def test_an_invalid_profile_fails_its_instance(monkeypatch, capsys):
+    honest = Cyclic.profile
+
+    def broken(self):
+        profile = honest(self)
+        if self.n == 4:
+            profile[2] += 1
+        return profile
+
+    monkeypatch.setattr(Cyclic, "profile", broken)
+    assert main(["verify", "cyclic", "1..6"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cyclic 1..6: 5/6 pass",
+        "FAIL Z4: order 2 does not divide the group order 5",
+    ]
+
+
+def test_degrees_refuses_class_degrees_that_disagree(monkeypatch, capsys):
+    # the second order-2 vertex has no neighbours, unlike the first
+    graph = ODGraph(orders=(1, 2, 2), adjacency=((1, 2), (0,), ()))
+    monkeypatch.setattr(cli, "build_graph", lambda spec, bound: graph)
+    assert main(["degrees", "Z4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertices of order 2 disagree: degree 1 vs 0 (vertex 2)\n"
 
 
 def test_verify_usage_errors(capsys):

@@ -451,10 +451,9 @@ def test_build_graph_z6():
 
 def test_class_degrees_names_the_first_disagreeing_vertex():
     graph = ODGraph(orders=(1, 2, 2), adjacency=((1, 2), (0,), ()))
-    assert class_degrees(graph) == (
-        {1: 2, 2: 1},
-        "vertices of order 2 disagree: degree 1 vs 0 (vertex 2)",
-    )
+    with pytest.raises(DomainError) as excinfo:
+        class_degrees(graph)
+    assert str(excinfo.value) == "vertices of order 2 disagree: degree 1 vs 0 (vertex 2)"
 
 
 def test_build_graph_degenerate():
@@ -697,8 +696,7 @@ def test_profile_routes_match_oracle_on_small_sweep():
     for spec in specs:
         profile = order_profile(spec)
         graph = build_graph(spec)
-        degrees, problem = class_degrees(graph)
-        assert problem is None
+        degrees = class_degrees(graph)
         assert degrees == degree_via_profile(profile) == scan_degrees(profile)
         assert size_via_profile(profile) == graph.edge_count
         # handshake on the explicit graph

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from odgraph import formulas, graph, verify
+from odgraph.cli import main
 from odgraph.errors import DomainError
 from odgraph.formulas import deg_zn
 from odgraph.groups import Cyclic, Dihedral, Product, Units, format_spec
@@ -148,10 +149,15 @@ def test_star_equivalence_names_the_first_fact_that_disagrees(monkeypatch):
     assert check.formula == {"acyclic": True, "bipartite": True, "star": True}
 
 
-def test_a_check_with_a_problem_fails_even_when_both_sides_agree():
-    check = verify._compare("degrees_profile", {1: 0}, {1: 0}, "problem")
-    assert not check.passed
-    assert check.detail == "problem"
+def test_class_degrees_that_disagree_fail_the_instance(monkeypatch):
+    broken = graph.ODGraph(orders=(1, 2, 2), adjacency=((1, 2), (0,), ()))
+    monkeypatch.setattr(verify, "build_graph", lambda spec, bound: broken)
+    result = verify_group(Cyclic(3))
+    assert result.error == "vertices of order 2 disagree: degree 1 vs 0 (vertex 2)"
+    assert result.checks == ()
+    # a check passes exactly when its two sides agree
+    check = verify._compare("size_profile", 3, 4)
+    assert check.detail == "size_profile: formula 3 != oracle 4"
     assert check.to_dict()["pass"] is False
     assert verify._compare("size_profile", 3, 3).to_dict()["pass"] is True
 
@@ -216,11 +222,13 @@ def test_sweep_vertex_cap_counts_instances_within_the_bound(monkeypatch):
     assert sweep("cyclic", 1, 10, enum_bound=5).passed_count == 5
 
 
-def test_sweep_serialization_is_deterministic():
-    first = json.dumps(sweep("cyclic", 1, 30).to_dict(), sort_keys=True)
-    second = json.dumps(sweep("cyclic", 1, 30).to_dict(), sort_keys=True)
-    assert first == second
-    payload = json.loads(first)
+def test_sweep_serialization_is_deterministic(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "cyclic", "1..30", "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
     assert payload["family"] == "cyclic"
     assert payload["pass"] is True
     assert len(payload["instances"]) == 30
